@@ -9,6 +9,13 @@ Conventions used throughout the package:
   2^-d.  It is deliberately left unnormalized: an integral over it equals
   2^-d times the expectation under the triangle sampler `sample_box_pair`.
 * All floating point work is binary64.
+
+Box membership for batches of boxes runs on per-axis rank tables: within a
+block of at most `_BLOCK` points, the points below rank r on axis j form a
+prefix bitset P_j[r], so the points inside [lower, upper) are the AND over
+the axes of P_j[rank(upper_j)] ^ P_j[rank(lower_j)].  Weighted counts of a
+bitset read an 8-bit table of partial weight sums per byte.  Queries are
+tiled over boxes, so the temporaries of one call stay bounded for any n.
 """
 
 from __future__ import annotations
@@ -26,7 +33,19 @@ import numpy as np
 # in index order, so results do not depend on how chunks are scheduled.
 CHUNK = 1 << 16
 
-_WEIGHT_TOL = 0.0  # QMC classification is exact: weights must equal 1/n bitwise
+# Points per bitset block of the membership kernel.  A block's tables take
+# d * (_BLOCK + 1) * _BLOCK / 8 bytes, 16 MiB at d = 8.
+_BLOCK = 4096
+
+# Bytes of float64 weight lookups per query tile.  Their int64 index array
+# is as large and the tile's other temporaries are smaller, so this and one
+# block's tables cap the kernel's working memory per call for any n.
+_TILE_BYTES = 1 << 21
+
+# Packed bitsets are little-endian uint64 words, so byte k of a bitset
+# holds points 8k..8k+7 on any host.
+_WORD = np.dtype("<u8")
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)).astype(_WORD)
 
 
 class InvalidInputError(ValueError):
@@ -215,27 +234,94 @@ class DiscrepancyResult:
 
 
 def local_discrepancy(ps: PointSet, ws: WeightSet, box: BoxPair) -> float:
-    """Weighted count of points in [lower, upper) minus the box volume."""
+    """Weighted count of points in [lower, upper) minus the box volume.
+
+    One box is evaluated straight from the definition in O(n d); the tables
+    of `local_discrepancy_batch` only pay off over many boxes.
+    """
     if ws.n != ps.n:
         raise InvalidInputError("point set and weight set sizes differ")
     if box.d != ps.d:
         raise InvalidInputError("box dimension does not match point set")
-    delta = local_discrepancy_batch(
-        ps.coords, ws.values, box.lower[None, :], box.upper[None, :]
-    )
-    return float(delta[0])
+    inside = np.all((box.lower <= ps.coords) & (ps.coords < box.upper), axis=1)
+    return float(ws.values @ inside - np.prod(box.upper - box.lower))
 
 
 def local_discrepancy_batch(
     coords: np.ndarray, weights: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> np.ndarray:
-    """Vectorized local discrepancy for a batch of boxes, shape (m,)."""
-    inside = np.all(
-        (lower[:, None, :] <= coords[None, :, :]) & (coords[None, :, :] < upper[:, None, :]),
-        axis=2,
-    )
-    counts = inside.astype(np.float64) @ weights
+    """Vectorized local discrepancy for a batch of boxes, shape (m,).
+
+    `coords` is (n, d), `weights` (n,), and `lower`, `upper` are (m, d).
+    Each box's value depends only on the points and its own anchors, so
+    results are bitwise independent of how boxes are split into batches.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[1] < 1:
+        raise InvalidInputError("coords must be a 2-d array of shape (n, d) with d >= 1")
+    n, d = coords.shape
+    if weights.shape != (n,):
+        raise InvalidInputError(f"weights must have shape ({n},), got {weights.shape}")
+    if lower.ndim != 2 or lower.shape[1] != d or upper.shape != lower.shape:
+        raise InvalidInputError(
+            f"lower and upper must both have shape (m, {d}), got {lower.shape} and {upper.shape}"
+        )
+    counts = np.zeros(lower.shape[0])
+    for start in range(0, n, _BLOCK):
+        counts += _block_counts(
+            coords[start : start + _BLOCK], weights[start : start + _BLOCK], lower, upper
+        )
     return counts - np.prod(upper - lower, axis=1)
+
+
+def _block_counts(
+    coords: np.ndarray, weights: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> np.ndarray:
+    """Weighted counts of one block of points in each box [lower, upper)."""
+    b, d = coords.shape
+    words = -(-b // 64)
+    # prefix[j, r]: bitset of the points whose rank on axis j is below r
+    prefix = np.zeros((d, b + 1, words), dtype=_WORD)
+    axis_sorted = np.empty((d, b))
+    for j in range(d):
+        order = np.argsort(coords[:, j], kind="stable")
+        axis_sorted[j] = coords[order, j]
+        prefix[j, np.arange(1, b + 1), order >> 6] = _BIT[order & 63]
+        np.bitwise_or.accumulate(prefix[j], axis=0, out=prefix[j])
+    # table[k, v]: sum of the weights of points 8k + i over the set bits i of v
+    bytes_per_set = 8 * words
+    padded = np.zeros(8 * bytes_per_set)
+    padded[:b] = weights
+    padded = padded.reshape(bytes_per_set, 8)
+    table = np.zeros((bytes_per_set, 256))
+    for i in range(8):
+        table[:, 1 << i : 2 << i] = table[:, : 1 << i] + padded[:, i : i + 1]
+    table = table.ravel()
+    row_offset = np.arange(0, 256 * bytes_per_set, 256)
+
+    m = lower.shape[0]
+    counts = np.empty(m)
+    rows = max(1, _TILE_BYTES // (8 * bytes_per_set))
+    for start in range(0, m, rows):
+        lo = lower[start : start + rows]
+        hi = upper[start : start + rows]
+        inside = None
+        for j in range(d):
+            # lo_j <= x < hi_j is the rank interval [rank(lo_j), rank(hi_j))
+            r_lo = np.searchsorted(axis_sorted[j], lo[:, j], "left")
+            r_hi = np.searchsorted(axis_sorted[j], hi[:, j], "left")
+            np.maximum(r_hi, r_lo, out=r_hi)  # lo > hi holds no point
+            axis_in = prefix[j][r_hi]
+            axis_in ^= prefix[j][r_lo]
+            if inside is None:
+                inside = axis_in
+            else:
+                inside &= axis_in
+        counts[start : start + rows] = table[inside.view(np.uint8) + row_offset].sum(axis=1)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BoxPair,
     InvalidInputError,
     PointSet,
     WeightSet,
+    local_discrepancy,
     local_discrepancy_batch,
     sample_box_pairs,
     substream,
@@ -197,10 +199,8 @@ def extremal_representer(
     ps: PointSet, ws: WeightSet, p: float, norm_p: float, lower, upper
 ) -> float:
     """Extremal coefficient of a rule, evaluated at one box pair."""
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    delta = local_discrepancy_batch(ps.coords, ws.values, lower[None, :], upper[None, :])
-    return float(representer_value(p, delta[0], norm_p))
+    delta = local_discrepancy(ps, ws, BoxPair(lower, upper))
+    return float(representer_value(p, delta, norm_p))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +305,8 @@ def duality_gap_mc(
         raise InvalidInputError("duality audit needs p > 1 (q finite)")
     if samples < 2:
         raise InvalidInputError("need at least 2 samples")
+    if workers < 1:
+        raise InvalidInputError("workers must be >= 1")
     if p == 2.0:
         norm, norm_method = extreme_l2_exact(ps, ws).value, "l2-exact"
     elif p == int(p) and int(p) % 2 == 0:

@@ -250,6 +250,11 @@ class TestDualityCheck:
         assert abs(obj["pairing_z"]) <= 3.0
         assert abs(obj["qnorm_z"]) <= 3.0
 
+    def test_zero_workers_exit_code(self, one_center):
+        sampled = ("--input", one_center, "--p", "2", "--samples", "1000", "--seed", "1")
+        assert run_cli("disc", *sampled, "--method", "mc", "--workers", "0")[0] == 2
+        assert run_cli("duality-check", *sampled, "--workers", "0")[0] == 2
+
     def test_worker_count_neutral(self, one_center):
         args = (
             "duality-check", "--input", one_center, "--p", "2",

@@ -1,6 +1,7 @@
 """Core model: local discrepancy, sampling, point file round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,15 @@ from extdisc.core import local_discrepancy_batch
 
 def box(lo, hi):
     return BoxPair(np.atleast_1d(lo), np.atleast_1d(hi))
+
+
+def definition_batch(coords, weights, lower, upper):
+    """Reference for the batch kernel: membership broadcast over (m, n, d)."""
+    inside = np.all(
+        (lower[:, None, :] <= coords[None, :, :]) & (coords[None, :, :] < upper[:, None, :]),
+        axis=2,
+    )
+    return inside.astype(np.float64) @ weights - np.prod(upper - lower, axis=1)
 
 
 class TestLocalDiscrepancy:
@@ -84,6 +94,19 @@ class TestLocalDiscrepancy:
             one = local_discrepancy(self.ps, self.ws, BoxPair(lo[i], hi[i]))
             assert batch[i] == one
 
+    def test_batch_rejects_bad_shapes(self):
+        coords, weights = self.ps.coords, self.ws.values
+        anchors = np.zeros((3, 1))
+        cases = [
+            (np.zeros((3, 2)), np.ones((3, 2)), weights),  # more anchor columns than d
+            (anchors, np.ones((4, 1)), weights),  # lower and upper differ in m
+            (np.zeros(3), np.ones(3), weights),  # anchors not 2-d
+            (anchors, np.ones((3, 1)), np.ones(3)),  # one weight too many
+        ]
+        for lo, hi, w in cases:
+            with pytest.raises(InvalidInputError):
+                local_discrepancy_batch(coords, w, lo, hi)
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             local_discrepancy(self.ps, equal_weights(3), box(0.0, 1.0))
@@ -121,6 +144,60 @@ def test_general_bound_property(coords, raw_weights, anchors):
     lo, hi = min(anchors), max(anchors)
     delta = local_discrepancy(ps, ws, box(lo, hi))
     assert abs(delta) <= float(np.sum(np.abs(ws.values))) + 1.0 + 1e-12
+
+
+@given(
+    n=st.sampled_from([0, 1, 7, 63, 64, 65, 4097]),
+    d=st.integers(1, 3),
+    grid=st.sampled_from([4, 16, 1 << 30]),
+    dyadic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_batch_kernel_matches_definition(n, d, grid, dyadic, seed):
+    # n crosses the byte, word and block boundaries of the bitsets; coarse
+    # grids put several points on one coordinate
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, grid, (n, d)) / grid
+    if dyadic:
+        weights = rng.integers(-64, 65, n) / 64.0
+    else:
+        weights = rng.standard_normal(n) / math.sqrt(max(n, 1))
+    m = 48
+    lo, hi = sample_box_pairs(rng, m, d)
+    q = m // 4
+    if n:
+        # anchors on point coordinates, so points sit on box faces
+        a = coords[rng.integers(0, n, (q, d)), np.arange(d)]
+        b = coords[rng.integers(0, n, (q, d)), np.arange(d)]
+        lo[:q], hi[:q] = np.minimum(a, b), np.maximum(a, b)
+    lo[q : 2 * q] = np.floor(lo[q : 2 * q] * grid) / grid
+    hi[q : 2 * q] = np.ceil(hi[q : 2 * q] * grid) / grid
+    hi[2 * q : 3 * q] = lo[2 * q : 3 * q]  # empty boxes lo == hi
+    lo[3 * q :], hi[3 * q :] = hi[3 * q :].copy(), lo[3 * q :].copy()  # lo > hi holds nothing
+    got = local_discrepancy_batch(coords, weights, lo, hi)
+    want = definition_batch(coords, weights, lo, hi)
+    if dyadic:
+        assert np.array_equal(got, want)
+    else:
+        tol = 1e-14 * max(1.0, float(np.sum(np.abs(weights))))
+        assert np.max(np.abs(got - want), initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("n", [1024, 8192])
+def test_batch_memory_is_bounded(n):
+    # the broadcast definition allocates 2^16 * n * 8 bytes per mask
+    rng = np.random.default_rng(n)
+    coords = rng.random((n, 8))
+    weights = rng.standard_normal(n) / n
+    lo, hi = sample_box_pairs(rng, 1 << 16, 8)
+    tracemalloc.start()
+    try:
+        local_discrepancy_batch(coords, weights, lo, hi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 << 20
 
 
 class TestSampler:

@@ -216,6 +216,14 @@ class TestRepresenter:
         v = extremal_representer(ps, ws, 2.0, 0.5, [0.0], [0.75])
         assert v == pytest.approx(0.25 / 0.5)
 
+    def test_box_checked_against_rule(self):
+        ps = PointSet([[0.5]])
+        ws = equal_weights(1)
+        with pytest.raises(InvalidInputError):
+            extremal_representer(ps, ws, 2.0, 0.5, [0.0, 0.0], [0.75, 0.75])
+        with pytest.raises(InvalidInputError):
+            extremal_representer(ps, ws, 2.0, 0.5, [0.75], [0.0])
+
 
 @given(
     x=st.floats(0.0, 1.0),
@@ -260,6 +268,11 @@ class TestDualityAudit:
         a = duality_gap_mc(ps, equal_weights(1), 2.0, 70_000, seed=5, workers=1)
         b = duality_gap_mc(ps, equal_weights(1), 2.0, 70_000, seed=5, workers=3)
         assert a == b
+
+    def test_workers_below_one_rejected(self):
+        ps = PointSet([[0.5]])
+        with pytest.raises(InvalidInputError):
+            duality_gap_mc(ps, equal_weights(1), 2.0, 1000, seed=0, workers=0)
 
     def test_p_one_rejected(self):
         ps = PointSet([[0.5]])

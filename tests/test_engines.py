@@ -185,6 +185,19 @@ class TestMonteCarloContract:
         s4 = extreme_linf_lower_mc(ps, ws, samples, seed=9, workers=4)
         assert s1.value == s4.value
 
+    def test_worker_count_is_output_neutral_across_blocks(self):
+        # 5000 points span two membership blocks; the second chunk is partial
+        rng = np.random.default_rng(5000)
+        ps = PointSet(rng.random((5000, 3)))
+        ws = WeightSet(rng.standard_normal(5000) / 5000, WeightKind.GENERAL)
+        samples = 65536 + 1000
+        r1 = extreme_lp_mc(ps, ws, 3.0, samples, seed=11, workers=1)
+        r2 = extreme_lp_mc(ps, ws, 3.0, samples, seed=11, workers=2)
+        assert r1.value == r2.value and r1.stderr == r2.stderr
+        s1 = extreme_linf_lower_mc(ps, ws, samples, seed=11, workers=1)
+        s2 = extreme_linf_lower_mc(ps, ws, samples, seed=11, workers=2)
+        assert s1.value == s2.value
+
     def test_seed_changes_result(self):
         ps = PointSet([[0.3]])
         ws = equal_weights(1)
