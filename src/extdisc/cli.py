@@ -109,9 +109,8 @@ def cmd_disc(args) -> int:
         p = _resolve_p(args)
         if math.isinf(p) or p != int(p) or int(p) % 2 or p < 2:
             raise InvalidInputError("even-exact requires an even integer p >= 2")
-        res = extreme_lp_exact_even_p(
-            ps, ws, int(p), cell_budget=args.budget or DEFAULT_CELL_BUDGET
-        )
+        budget = DEFAULT_CELL_BUDGET if args.budget is None else args.budget
+        res = extreme_lp_exact_even_p(ps, ws, int(p), cell_budget=budget)
     elif method == "mc":
         p = _resolve_p(args)
         if math.isinf(p):
@@ -122,7 +121,8 @@ def cmd_disc(args) -> int:
         p = _resolve_p(args, default=math.inf)
         if not math.isinf(p):
             raise InvalidInputError("linf-exact requires p = inf")
-        res = extreme_linf_exact(ps, ws, box_budget=args.budget or DEFAULT_BOX_BUDGET)
+        budget = DEFAULT_BOX_BUDGET if args.budget is None else args.budget
+        res = extreme_linf_exact(ps, ws, box_budget=budget)
     else:  # linf-mc
         p = _resolve_p(args, default=math.inf)
         if not math.isinf(p):

@@ -51,22 +51,6 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-@dataclass(frozen=True)
-class HolderPair:
-    """A conjugate exponent pair; construct from either side."""
-
-    p: float
-    q: float
-
-    @classmethod
-    def from_p(cls, p: float) -> "HolderPair":
-        return cls(float(p), conjugate_exponent(p))
-
-    @classmethod
-    def from_q(cls, q: float) -> "HolderPair":
-        return cls(conjugate_exponent(q), float(q))
-
-
 def _check_finite_p(p: float) -> float:
     p = float(p)
     if not (1.0 <= p < math.inf):

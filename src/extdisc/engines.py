@@ -9,6 +9,12 @@ evaluation is supported for p = 2 (closed form) and all even integers
 (piecewise-polynomial cell integration); other finite p go through Monte
 Carlo.  The sup norm has an exact grid enumeration and a sampled hard
 lower bound.
+
+The grid engines never build a point-by-box membership matrix: every
+weighted count is a difference of one cumulative weighted histogram over
+the breakpoint grid (`CellDecomposition.prefix_weights`), differenced over
+axes 1.. once and over axis 0 in slabs of about `_SLAB` counts.  The L2
+engine builds its pair kernel in row blocks of about `_SLAB` entries.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +44,9 @@ from .core import (
 DEFAULT_CELL_BUDGET = 10**7
 DEFAULT_BOX_BUDGET = 10**8
 
+# output entries per slab of the exact engines' counts and L2 kernel
+_SLAB = 1 << 16
+
 # squared-total clamp for the closed-form L2 path; anything more negative
 # indicates a real inconsistency, not roundoff
 _L2_NEG_TOL = 1e-12
@@ -45,6 +55,11 @@ _L2_NEG_TOL = 1e-12
 def _check_pair(ps: PointSet, ws: WeightSet) -> None:
     if ws.n != ps.n:
         raise InvalidInputError("point set and weight set sizes differ")
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise InvalidInputError(f"budget must be >= 1, got {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,39 +104,51 @@ class CellDecomposition:
             total *= b * (b + 1) // 2
         return total
 
+    def prefix_weights(self, weights: np.ndarray) -> np.ndarray:
+        """Cumulative weighted histogram over the breakpoint grids.
 
-def _ordered_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs (s, t) with 0 <= s <= t < m, lexicographic."""
-    s, t = np.triu_indices(m)
-    return s, t
+        Axis j has length len(gammas[j]) + 1, and entry [r_0, ..., r_{d-1}]
+        is the total weight of the points with pos[j] < r_j on every axis.
+        The weight of the points with lo_j <= pos[j] < hi_j on every axis is
+        then a 2^d-corner difference of this table.
+        """
+        table = np.zeros(tuple(len(g) + 1 for g in self.gammas))
+        np.add.at(table, tuple(p + 1 for p in self.pos), weights)
+        for axis in range(table.ndim):
+            np.cumsum(table, axis=axis, out=table)
+        return table
 
 
-def _count_tensor(weights: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """Weighted point counts over the cartesian product of per-dim pair sets.
+def _box_counts(prefix: np.ndarray, bounds: list[tuple[np.ndarray, np.ndarray]]):
+    """Weighted counts of a product of per-axis index ranges, in slabs.
 
-    mats[j] has shape (P_j, n); entry [i, k] is 1.0 when point k satisfies
-    the j-th membership condition of pair i.  Returns shape (P_0, ..., P_r).
+    bounds[j] = (lo, hi) lists the ranges of axis j: range i holds the
+    points with lo[i] <= pos[j] < hi[i] (lo <= hi).  The differences over
+    axes 1.. are taken once; then each slab of about _SLAB counts is one
+    gather and one subtract over axis 0.  Yields (rows, counts) with rows a
+    slice of axis-0 ranges and counts of shape (rows, ranges of axes 1..),
+    the latter flattened in C order; with d = 1 that product is empty.
     """
-    if len(mats) == 1:
-        return mats[0] @ weights
-    if len(mats) == 2:
-        return np.einsum("ak,bk,k->ab", mats[0], mats[1], weights, optimize=True)
-    out = np.empty(tuple(m.shape[0] for m in mats))
-    for a in range(mats[0].shape[0]):
-        out[a] = _count_tensor(weights * mats[0][a], mats[1:])
-    return out
+    table = prefix
+    for axis in range(1, prefix.ndim):
+        lo, hi = bounds[axis]
+        diff = np.take(table, hi, axis=axis)
+        diff -= np.take(table, lo, axis=axis)
+        table = diff
+    table = table.reshape(len(table), -1)
+    lo, hi = bounds[0]
+    step = max(1, _SLAB // table.shape[1])
+    for start in range(0, len(lo), step):
+        rows = slice(start, start + step)
+        yield rows, table[hi[rows]] - table[lo[rows]]
 
 
 # ---------------------------------------------------------------------------
 # exact L2 (closed form)
 
 
-def _mix_kernel_1d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.minimum.outer(x, y) - np.outer(x, y)
-
-
 def extreme_l2_exact(ps: PointSet, ws: WeightSet) -> DiscrepancyResult:
-    """Closed-form L2 value in O(n^2 d) operations.
+    """Closed-form L2 value in O(n^2 d) operations and O(n d) memory.
 
     Squaring the local discrepancy and integrating each term over the
     anchor domain gives a pairwise kernel sum, a one-body cross term and
@@ -134,12 +161,20 @@ def extreme_l2_exact(ps: PointSet, ws: WeightSet) -> DiscrepancyResult:
     _check_pair(ps, ws)
     n, d = ps.n, ps.d
     if n:
-        kern = np.ones((n, n))
-        for j in range(d):
-            kern *= _mix_kernel_1d(ps.coords[:, j], ps.coords[:, j])
-        pair_term = float(ws.values @ kern @ ws.values)
+        w, cols = ws.values, np.ascontiguousarray(ps.coords.T)
+        kw = np.empty(n)
+        step = max(1, _SLAB // n)
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            block = 1.0
+            for a, b in zip(cols[:, rows, None], cols):
+                mix = np.minimum(a, b)
+                mix -= a * b
+                block *= mix
+            kw[rows] = block @ w
+        pair_term = float(w @ kw)
         g = (1.0 - ps.coords**3 - (1.0 - ps.coords) ** 3) / 6.0
-        cross_term = float(ws.values @ np.prod(g, axis=1))
+        cross_term = float(w @ np.prod(g, axis=1))
     else:
         pair_term = cross_term = 0.0
     sq = pair_term - 2.0 * cross_term + 12.0**-d
@@ -152,20 +187,13 @@ def extreme_l2_exact(ps: PointSet, ws: WeightSet) -> DiscrepancyResult:
 # exact even p
 
 
-def _interval_tables(
-    g: np.ndarray, pos_j: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis tables for one dimension of the even-p cell sum.
+def _interval_integrals(g: np.ndarray, s: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
+    """Moments of one axis of the even-p cell sum, shape (p + 1, pairs).
 
-    For each ordered interval pair (s, t) the anchor constraint is
-    a in [g_s, g_{s+1}], b in [g_t, g_{t+1}], a <= b.  Returns
-      integrals: shape (p + 1, npairs), entry [i, q] = integral of
-                 (b - a)^i over pair q's anchor region;
-      member:    shape (npairs, n), 1.0 when the point's coordinate lies
-                 in [g_{s+1}, g_t], i.e. inside every box of the cell.
+    For the ordered interval pair (s, t) the anchor constraint is
+    a in [g_s, g_{s+1}], b in [g_t, g_{t+1}], a <= b; entry [i, q] is the
+    integral of (b - a)^i over pair q's anchor region.
     """
-    m = len(g) - 1
-    s, t = _ordered_pairs(m)
     a0, a1, b0, b1 = g[s], g[s + 1], g[t], g[t + 1]
     tri = s == t
     integrals = np.empty((p + 1, len(s)))
@@ -174,10 +202,7 @@ def _interval_tables(
         den = (i + 1) * (i + 2)
         rect = ((b1 - a0) ** k - (b1 - a1) ** k - (b0 - a0) ** k + (b0 - a1) ** k) / den
         integrals[i] = np.where(tri, (a1 - a0) ** k / den, rect)
-    member = ((s[:, None] < pos_j[None, :]) & (pos_j[None, :] <= t[:, None])).astype(
-        np.float64
-    )
-    return integrals, member
+    return integrals
 
 
 def extreme_lp_exact_even_p(
@@ -187,12 +212,15 @@ def extreme_lp_exact_even_p(
 
     On each cell the weighted count C is constant, so the binomial theorem
     reduces the cell integral of (C - vol)^p to 1-d moments of (b - a)^i
-    which tensorize across dimensions.  Work grows with the product over
+    which tensorize across dimensions.  The cell (s, t) of an axis holds
+    the points on grid lines s+1 .. t, so every C is a difference of
+    `CellDecomposition.prefix_weights`.  Work grows with the product over
     axes of the interval pair counts; `cell_budget` caps that product.
     """
     _check_pair(ps, ws)
     if not (isinstance(p, (int, np.integer)) and p >= 2 and p % 2 == 0):
         raise InvalidInputError("even-p engine needs an even integer p >= 2")
+    _check_budget(cell_budget)
     p = int(p)
     cd = CellDecomposition.from_points(ps)
     ncells = cd.interval_pair_count()
@@ -200,32 +228,23 @@ def extreme_lp_exact_even_p(
         raise BudgetExceededError(
             f"{ncells} cells exceed budget {cell_budget}; use extreme_lp_mc instead"
         )
-    tables = [
-        _interval_tables(cd.gammas[j], cd.pos[j], p) for j in range(ps.d)
+    # ordered interval pairs (s, t), s <= t, lexicographic on every axis
+    pairs = [np.triu_indices(len(g) - 1) for g in cd.gammas]
+    moments = [_interval_integrals(g, s, t, p) for g, (s, t) in zip(cd.gammas, pairs)]
+    rest = [
+        np.ravel(reduce(np.multiply.outer, [m[i] for m in moments[1:]], 1.0))
+        for i in range(p + 1)
     ]
     coeffs = [math.comb(p, i) * (-1) ** i for i in range(p + 1)]
-    parts: list[float] = []
-    if ps.d == 1:
-        integrals, member = tables[0]
-        counts = member @ ws.values
+    # one part per (axis-0 pair, binomial term); the terms alternate in
+    # sign and cancel, so they are summed exactly by fsum
+    parts: list[np.ndarray] = []
+    bounds = [(s + 1, t + 1) for s, t in pairs]
+    for rows, counts in _box_counts(cd.prefix_weights(ws.values), bounds):
         for i in range(p + 1):
-            parts.append(coeffs[i] * float(np.sum(counts ** (p - i) * integrals[i])))
-    else:
-        head_int, head_mem = tables[0]
-        rest_mem = [t[1] for t in tables[1:]]
-        rest_out = [
-            reduce(np.multiply.outer, [t[0][i] for t in tables[1:]])
-            for i in range(p + 1)
-        ]
-        for a in range(head_mem.shape[0]):
-            counts = _count_tensor(ws.values * head_mem[a], rest_mem)
-            for i in range(p + 1):
-                parts.append(
-                    coeffs[i]
-                    * head_int[i][a]
-                    * float(np.sum(counts ** (p - i) * rest_out[i]))
-                )
-    total = math.fsum(parts)
+            sums = np.sum(counts ** (p - i) * rest[i], axis=1)
+            parts.append(coeffs[i] * moments[0][i][rows] * sums)
+    total = math.fsum(chain.from_iterable(parts))
     if total < -_L2_NEG_TOL:
         raise InternalConsistencyError(f"p-th power total {total} is negative")
     return DiscrepancyResult(max(total, 0.0) ** (1.0 / p), float(p), Method.EVEN_P_EXACT)
@@ -235,28 +254,6 @@ def extreme_lp_exact_even_p(
 # exact sup norm
 
 
-def _grid_tables(
-    g: np.ndarray, pos_j: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis tables for sup-norm enumeration over grid anchor pairs.
-
-    For grid pair (u, v), u <= v: side length g_v - g_u, closed membership
-    g_u <= x <= g_v, and strictly open membership g_u < x < g_v.  The
-    positive side of the supremum is attained as a closed count minus the
-    volume; the negative side as the volume minus an open count (boxes can
-    shrink onto a cell closure from inside, excluding boundary points).
-    """
-    u, v = _ordered_pairs(len(g))
-    side = g[v] - g[u]
-    closed = ((u[:, None] <= pos_j[None, :]) & (pos_j[None, :] <= v[:, None])).astype(
-        np.float64
-    )
-    opened = ((u[:, None] < pos_j[None, :]) & (pos_j[None, :] < v[:, None])).astype(
-        np.float64
-    )
-    return side, closed, opened
-
-
 def extreme_linf_exact(
     ps: PointSet, ws: WeightSet, box_budget: int = DEFAULT_BOX_BUDGET
 ) -> DiscrepancyResult:
@@ -264,33 +261,32 @@ def extreme_linf_exact(
 
     The supremum over all boxes of +-(count - volume) is attained in the
     limit at boxes whose closures have all faces on the per-axis grids, so
-    scanning every ordered grid pair with closed counts (positive side)
-    and open counts (negative side) is exact for any real weights.
+    scanning every ordered grid pair (u, v) with closed counts
+    g_u <= x <= g_v (positive side) and open counts g_u < x < g_v
+    (negative side: boxes shrink onto a cell closure from inside) is exact
+    for any real weights.
     """
     _check_pair(ps, ws)
+    _check_budget(box_budget)
     cd = CellDecomposition.from_points(ps)
     nboxes = cd.grid_pair_count()
     if nboxes > box_budget:
         raise BudgetExceededError(
             f"{nboxes} boxes exceed budget {box_budget}; use extreme_linf_lower_mc instead"
         )
-    tables = [_grid_tables(cd.gammas[j], cd.pos[j]) for j in range(ps.d)]
+    # ordered grid pairs (u, v), u <= v, lexicographic on every axis
+    pairs = [np.triu_indices(len(g)) for g in cd.gammas]
+    sides = [g[v] - g[u] for g, (u, v) in zip(cd.gammas, pairs)]
+    rest_side = np.ravel(reduce(np.multiply.outer, sides[1:], 1.0))
+    prefix = cd.prefix_weights(ws.values)
+    closed = [(u, v + 1) for u, v in pairs]
+    # an open range with v <= u + 1 is empty: hi = max(v, u + 1) makes it so
+    opened = [(u + 1, np.maximum(v, u + 1)) for u, v in pairs]
     best = 0.0
-    if ps.d == 1:
-        side, closed, opened = tables[0]
-        pos_side = (closed @ ws.values) - side
-        neg_side = side - (opened @ ws.values)
-        best = max(float(pos_side.max()), float(neg_side.max()))
-    else:
-        head_side, head_closed, head_open = tables[0]
-        rest_side = reduce(np.multiply.outer, [t[0] for t in tables[1:]])
-        rest_closed = [t[1] for t in tables[1:]]
-        rest_open = [t[2] for t in tables[1:]]
-        for a in range(len(head_side)):
-            vol = head_side[a] * rest_side
-            pos_side = _count_tensor(ws.values * head_closed[a], rest_closed) - vol
-            neg_side = vol - _count_tensor(ws.values * head_open[a], rest_open)
-            best = max(best, float(pos_side.max()), float(neg_side.max()))
+    for sign, bounds in ((1.0, closed), (-1.0, opened)):
+        for rows, counts in _box_counts(prefix, bounds):
+            vol = sides[0][rows, None] * rest_side
+            best = max(best, float((sign * (counts - vol)).max()))
     return DiscrepancyResult(best, math.inf, Method.LINF_EXACT)
 
 

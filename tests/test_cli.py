@@ -141,6 +141,14 @@ class TestDisc:
         )
         assert code == 3 and "budget" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_exit_code(self, one_center, budget):
+        for method, p in (("linf-exact", "inf"), ("even-exact", "2")):
+            code, _, err = run_cli(
+                "disc", "--input", one_center, "--p", p, "--method", method, "--budget", budget
+            )
+            assert code == 2 and "budget" in err
+
     def test_missing_file(self):
         assert run_cli("disc", "--input", "no_such.csv", "--p", "2", "--method", "l2-exact")[0] == 2
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extdisc import (
-    HolderPair,
     InvalidInputError,
     PointSet,
     box_operator_1d,
@@ -46,9 +45,9 @@ class TestConjugate:
             assert conjugate_exponent(conjugate_exponent(p)) == pytest.approx(p)
 
     def test_holder_pair(self):
-        hp = HolderPair.from_q(1.5)
-        assert hp.p == pytest.approx(3.0) and hp.q == 1.5
-        assert HolderPair.from_p(2.0) == HolderPair.from_q(2.0)
+        # the pair (p, q) is the same from either side
+        assert conjugate_exponent(1.5) == pytest.approx(3.0)
+        assert conjugate_exponent(3.0) == pytest.approx(1.5)
 
     def test_below_one_rejected(self):
         with pytest.raises(InvalidInputError):

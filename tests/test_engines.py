@@ -1,6 +1,9 @@
 """Discrepancy engines against hand values, brute force, and each other."""
 
 import math
+import tracemalloc
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from extdisc import (
     PointSet,
     WeightKind,
     WeightSet,
+    classify_weights,
     equal_weights,
     extreme_l2_exact,
     extreme_linf_exact,
@@ -22,6 +26,7 @@ from extdisc import (
     extreme_lp_mc,
 )
 from extdisc.engines import CellDecomposition
+from extdisc.generators import GeneratorKind, GeneratorSpec, generate
 
 
 def empty(d):
@@ -48,6 +53,112 @@ def brute_force_lp_1d(ps, ws, p, cells=2000):
         counts += c * ((a <= x) & (x < b))
     integrand = np.abs(counts - (b - a)) ** p
     return (np.sum(integrand[a <= b]) / cells**2) ** (1.0 / p)
+
+
+def count_tensor(weights, mats):
+    """Weighted counts over the product of per-axis pair sets.
+
+    mats[j][i, k] is 1.0 when point k meets axis j's condition of pair i.
+    """
+    if len(mats) == 1:
+        return mats[0] @ weights
+    if len(mats) == 2:
+        return np.einsum("ak,bk,k->ab", mats[0], mats[1], weights, optimize=True)
+    return np.stack([count_tensor(weights * row, mats[1:]) for row in mats[0]])
+
+
+def reference_even_p(ps, ws, p):
+    """Even-p value from dense (cell pairs x n) membership matrices."""
+    cd = CellDecomposition.from_points(ps)
+    moments, members = [], []
+    for g, pos in zip(cd.gammas, cd.pos):
+        s, t = np.triu_indices(len(g) - 1)
+        a0, a1, b0, b1 = g[s], g[s + 1], g[t], g[t + 1]
+        m = np.empty((p + 1, len(s)))
+        for i in range(p + 1):
+            k, den = i + 2, (i + 1) * (i + 2)
+            rect = ((b1 - a0) ** k - (b1 - a1) ** k - (b0 - a0) ** k + (b0 - a1) ** k) / den
+            m[i] = np.where(s == t, (a1 - a0) ** k / den, rect)
+        moments.append(m)
+        # the cell (s, t) holds the points on grid lines s+1 .. t
+        members.append(((s[:, None] < pos) & (pos <= t[:, None])).astype(np.float64))
+    coeffs = [math.comb(p, i) * (-1) ** i for i in range(p + 1)]
+    parts = []
+    if ps.d == 1:
+        counts = members[0] @ ws.values
+        for i in range(p + 1):
+            parts.append(coeffs[i] * float(np.sum(counts ** (p - i) * moments[0][i])))
+    else:
+        rest = [reduce(np.multiply.outer, [m[i] for m in moments[1:]]) for i in range(p + 1)]
+        for a in range(members[0].shape[0]):
+            counts = count_tensor(ws.values * members[0][a], members[1:])
+            for i in range(p + 1):
+                parts.append(
+                    coeffs[i] * moments[0][i][a] * float(np.sum(counts ** (p - i) * rest[i]))
+                )
+    return max(math.fsum(parts), 0.0) ** (1.0 / p)
+
+
+def reference_linf(ps, ws):
+    """Sup-norm value from dense (grid pairs x n) closed and open memberships."""
+    cd = CellDecomposition.from_points(ps)
+    sides, closed, opened = [], [], []
+    for g, pos in zip(cd.gammas, cd.pos):
+        u, v = np.triu_indices(len(g))
+        sides.append(g[v] - g[u])
+        closed.append(((u[:, None] <= pos) & (pos <= v[:, None])).astype(np.float64))
+        opened.append(((u[:, None] < pos) & (pos < v[:, None])).astype(np.float64))
+    if ps.d == 1:
+        pos_side = closed[0] @ ws.values - sides[0]
+        neg_side = sides[0] - opened[0] @ ws.values
+        return max(float(pos_side.max()), float(neg_side.max()))
+    best = 0.0
+    rest_side = reduce(np.multiply.outer, sides[1:])
+    for a in range(len(sides[0])):
+        vol = sides[0][a] * rest_side
+        pos_side = count_tensor(ws.values * closed[0][a], closed[1:]) - vol
+        neg_side = vol - count_tensor(ws.values * opened[0][a], opened[1:])
+        best = max(best, float(pos_side.max()), float(neg_side.max()))
+    return best
+
+
+def vdc_1d(n):
+    return generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, n, 1))
+
+
+def rational_lp_power(ps, ws, p):
+    """Exact integral of |Delta|^p over {0 <= a <= b <= 1} for d = 1.
+
+    Cells are products of grid intervals; on the rectangle [a0, a1] x [b0, b1]
+    with count C the integrand (C - b + a)^p is the mixed derivative of
+    -(C - b + a)^(p+2) / ((p+1)(p+2)).  A diagonal cell of side L has C = 0
+    and contributes L^(p+2) / ((p+1)(p+2)).  Everything is scaled to
+    integers by the common denominator of the binary64 inputs.
+    """
+    xs = [Fraction(float(x)) for x in ps.coords[:, 0]]
+    cs = [Fraction(float(c)) for c in ws.values]
+    den = math.lcm(1, *(f.denominator for f in xs + cs))
+    grid = sorted({0, den, *(int(x * den) for x in xs)})
+    line = {g: i for i, g in enumerate(grid)}
+    on_line = [0] * len(grid)
+    for x, c in zip(xs, cs):
+        on_line[line[int(x * den)]] += int(c * den)
+    k = p + 2
+    total = 0
+    for s in range(len(grid) - 1):
+        a0, a1 = grid[s], grid[s + 1]
+        total += (a1 - a0) ** k
+        count = 0
+        for t in range(s + 1, len(grid) - 1):
+            b0, b1 = grid[t], grid[t + 1]
+            count += on_line[t]
+            total -= (
+                (count - b1 + a1) ** k
+                - (count - b0 + a1) ** k
+                - (count - b1 + a0) ** k
+                + (count - b0 + a0) ** k
+            )
+    return Fraction(total, (p + 1) * (p + 2) * den**k)
 
 
 class TestEmptyRule:
@@ -172,6 +283,71 @@ def test_engines_property(data):
     assert lower <= exact + 1e-12
 
 
+@given(
+    n=st.integers(0, 7),
+    d=st.integers(1, 3),
+    grid=st.sampled_from([2, 4, 1 << 30]),
+    shared=st.booleans(),
+    dyadic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_engines_match_membership_reference(n, d, grid, shared, dyadic, seed):
+    # coarse grids give duplicate coordinates and coordinate 0.0; `shared`
+    # puts the last point on the first point's grid lines in every axis but one
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, grid, (n, d)) / grid
+    if shared and n >= 2:
+        coords[-1, 1:] = coords[0, 1:]
+    if dyadic:
+        weights = rng.integers(-64, 65, n) / 64.0
+    else:
+        weights = rng.standard_normal(n) / math.sqrt(max(n, 1))
+    ps = PointSet(coords.reshape(n, d))
+    ws = WeightSet(weights, classify_weights(weights))
+    scale = max(1.0, float(np.sum(np.abs(weights))))
+    got, want = extreme_linf_exact(ps, ws).value, reference_linf(ps, ws)
+    if dyadic:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * scale
+    for p in (2, 4):
+        got, want = extreme_lp_exact_even_p(ps, ws, p).value, reference_even_p(ps, ws, p)
+        if dyadic and d >= 2:
+            assert got == want
+        else:
+            # d = 1 sums one part per cell instead of one per binomial term
+            assert abs(got**p - want**p) <= 1e-12 * scale**p
+
+
+@pytest.mark.parametrize("n, p", [(16, 2), (16, 4), (32, 2), (32, 4), (64, 2), (64, 4), (512, 2)])
+def test_even_p_matches_rational_oracle(n, p):
+    ps, ws = vdc_1d(n)
+    exact = float(rational_lp_power(ps, ws, p)) ** (1.0 / p)
+    assert extreme_lp_exact_even_p(ps, ws, p).value == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "engine, n, d",
+    [
+        (extreme_l2_exact, 4096, 8),
+        (lambda ps, ws: extreme_lp_exact_even_p(ps, ws, 2), 512, 1),
+    ],
+    ids=["l2-4096x8", "even2-512x1"],
+)
+def test_exact_memory_is_bounded(engine, n, d):
+    # dense forms need an n x n kernel (128 MiB per array at n = 4096) or a
+    # (cells x n) membership matrix (540 MB at n = 512, d = 1)
+    ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, n, d))
+    tracemalloc.start()
+    try:
+        engine(ps, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 << 20
+
+
 class TestMonteCarloContract:
     def test_worker_count_is_output_neutral(self):
         rng = np.random.default_rng(101)
@@ -234,6 +410,15 @@ class TestGuards:
             extreme_lp_exact_even_p(ps, ws, 2, cell_budget=100)
         with pytest.raises(BudgetExceededError, match="extreme_linf_lower_mc"):
             extreme_linf_exact(ps, ws, box_budget=100)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        ps = PointSet([[0.5]])
+        ws = equal_weights(1)
+        with pytest.raises(InvalidInputError, match="budget"):
+            extreme_lp_exact_even_p(ps, ws, 2, cell_budget=budget)
+        with pytest.raises(InvalidInputError, match="budget"):
+            extreme_linf_exact(ps, ws, box_budget=budget)
 
     def test_cell_counts(self):
         ps = PointSet([[0.25, 0.5], [0.75, 0.5]])
