@@ -13,9 +13,13 @@ Conventions used throughout the package:
 Box membership for batches of boxes runs on per-axis rank tables: within a
 block of at most `_BLOCK` points, the points below rank r on axis j form a
 prefix bitset P_j[r], so the points inside [lower, upper) are the AND over
-the axes of P_j[rank(upper_j)] ^ P_j[rank(lower_j)].  Weighted counts of a
-bitset read an 8-bit table of partial weight sums per byte.  Queries are
-tiled over boxes, so the temporaries of one call stay bounded for any n.
+the axes of P_j[rank(upper_j)] ^ P_j[rank(lower_j)].  Ranks are gathers
+from a bucket table over a dyadic grid of the axis's distinct coordinates,
+exact for every finite anchor, plus a short scan inside one bucket; an
+axis with more than `_MAX_SCAN` coordinates in one bucket uses binary
+search.  Weighted counts of a bitset read an 8-bit table of partial weight
+sums per byte.  Queries are tiled over boxes, so the temporaries of one
+call stay bounded for any n.
 """
 
 from __future__ import annotations
@@ -41,6 +45,12 @@ _BLOCK = 4096
 # is as large and the tile's other temporaries are smaller, so this and one
 # block's tables cap the kernel's working memory per call for any n.
 _TILE_BYTES = 1 << 21
+
+# Most distinct coordinates one bucket of an axis's rank table may hold.
+# The bucket scan takes one step per value and costs about as much as a
+# binary search at 16 steps, so an axis with a denser bucket, such as a
+# cluster of points closer than 1/K, keeps the binary search.
+_MAX_SCAN = 16
 
 # Packed bitsets are little-endian uint64 words, so byte k of a bitset
 # holds points 8k..8k+7 on any host.
@@ -252,9 +262,10 @@ def local_discrepancy_batch(
 ) -> np.ndarray:
     """Vectorized local discrepancy for a batch of boxes, shape (m,).
 
-    `coords` is (n, d), `weights` (n,), and `lower`, `upper` are (m, d).
-    Each box's value depends only on the points and its own anchors, so
-    results are bitwise independent of how boxes are split into batches.
+    `coords` is (n, d) in [0, 1), `weights` (n,), and `lower`, `upper` are
+    (m, d) and finite; anchors outside [0, 1] are allowed.  Each box's
+    value depends only on the points and its own anchors, so results are
+    bitwise independent of how boxes are split into batches.
     """
     coords = np.asarray(coords, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -269,12 +280,52 @@ def local_discrepancy_batch(
         raise InvalidInputError(
             f"lower and upper must both have shape (m, {d}), got {lower.shape} and {upper.shape}"
         )
+    if not np.all(np.isfinite(coords)) or np.any(coords < 0.0) or np.any(coords >= 1.0):
+        raise InvalidInputError("coordinates must lie in [0, 1)")
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise InvalidInputError("box anchors must be finite")
     counts = np.zeros(lower.shape[0])
     for start in range(0, n, _BLOCK):
         counts += _block_counts(
             coords[start : start + _BLOCK], weights[start : start + _BLOCK], lower, upper
         )
     return counts - np.prod(upper - lower, axis=1)
+
+
+def _rank_table(axis_sorted: np.ndarray):
+    """Bucket table giving searchsorted(axis_sorted, x, "left") by gathers.
+
+    The distinct values u of the sorted axis fall into K = 2^(ceil(log2
+    len(u)) + 3) buckets [k/K, (k+1)/K), and base[k] counts the u below
+    k/K.  For a finite query x and k = clip(x K, 0, K), every u below k/K
+    is below x and every u of a later bucket is above it, so the rank of x
+    among the u is base[k] plus the u of bucket k below x, found by a
+    linear scan of `scan` steps; first[r] maps a rank among the u to one
+    in the sorted axis.  K is a power of two, so x K and k/K are exact.
+    Returns None when some bucket holds more than _MAX_SCAN values.
+    """
+    b = len(axis_sorted)
+    is_new = np.ones(b, dtype=bool)
+    np.not_equal(axis_sorted[1:], axis_sorted[:-1], out=is_new[1:])
+    first = np.flatnonzero(is_new)
+    distinct = axis_sorted[first]
+    buckets = 1 << ((len(distinct) - 1).bit_length() + 3)
+    base = np.searchsorted(distinct, np.arange(buckets + 1) / buckets, "left")
+    scan = int(np.diff(base).max())
+    if scan > _MAX_SCAN:
+        return None
+    return buckets, base, np.append(distinct, np.inf), np.append(first, b), scan
+
+
+def _ranks(axis_sorted: np.ndarray, table, x: np.ndarray) -> np.ndarray:
+    """searchsorted(axis_sorted, x, "left") for finite x, via `_rank_table`."""
+    if table is None:
+        return np.searchsorted(axis_sorted, x, "left")
+    buckets, base, padded, first, scan = table
+    r = base.take(np.clip(x * buckets, 0, buckets).astype(np.intp))
+    for _ in range(scan):
+        r += padded.take(r) < x
+    return first.take(r)
 
 
 def _block_counts(
@@ -291,6 +342,7 @@ def _block_counts(
         axis_sorted[j] = coords[order, j]
         prefix[j, np.arange(1, b + 1), order >> 6] = _BIT[order & 63]
         np.bitwise_or.accumulate(prefix[j], axis=0, out=prefix[j])
+    rank_tables = [_rank_table(s) for s in axis_sorted]
     # table[k, v]: sum of the weights of points 8k + i over the set bits i of v
     bytes_per_set = 8 * words
     padded = np.zeros(8 * bytes_per_set)
@@ -305,22 +357,28 @@ def _block_counts(
     m = lower.shape[0]
     counts = np.empty(m)
     rows = max(1, _TILE_BYTES // (8 * bytes_per_set))
+    index = np.empty((min(rows, m), bytes_per_set), dtype=np.intp)
+    values = np.empty(index.shape)
     for start in range(0, m, rows):
         lo = lower[start : start + rows]
         hi = upper[start : start + rows]
         inside = None
         for j in range(d):
             # lo_j <= x < hi_j is the rank interval [rank(lo_j), rank(hi_j))
-            r_lo = np.searchsorted(axis_sorted[j], lo[:, j], "left")
-            r_hi = np.searchsorted(axis_sorted[j], hi[:, j], "left")
+            r_lo, r_hi = _ranks(axis_sorted[j], rank_tables[j], np.stack((lo[:, j], hi[:, j])))
             np.maximum(r_hi, r_lo, out=r_hi)  # lo > hi holds no point
-            axis_in = prefix[j][r_hi]
-            axis_in ^= prefix[j][r_lo]
+            axis_in = prefix[j].take(r_hi, axis=0)
+            axis_in ^= prefix[j].take(r_lo, axis=0)
             if inside is None:
                 inside = axis_in
             else:
                 inside &= axis_in
-        counts[start : start + rows] = table[inside.view(np.uint8) + row_offset].sum(axis=1)
+        tile = len(inside)
+        # indices are in range by construction; mode="wrap" skips the
+        # buffered copy that take's default mode makes for `out`
+        np.add(inside.view(np.uint8), row_offset, out=index[:tile])
+        table.take(index[:tile], out=values[:tile], mode="wrap")
+        counts[start : start + tile] = values[:tile].sum(axis=1)
     return counts
 
 

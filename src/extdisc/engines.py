@@ -236,13 +236,19 @@ def extreme_lp_exact_even_p(
         for i in range(p + 1)
     ]
     coeffs = [math.comb(p, i) * (-1) ** i for i in range(p + 1)]
+    # the i = p term has counts^0 = 1, so its row sums are all one constant
+    rest_total = np.sum(rest[p])
     # one part per (axis-0 pair, binomial term); the terms alternate in
     # sign and cancel, so they are summed exactly by fsum
     parts: list[np.ndarray] = []
     bounds = [(s + 1, t + 1) for s, t in pairs]
     for rows, counts in _box_counts(cd.prefix_weights(ws.values), bounds):
         for i in range(p + 1):
-            sums = np.sum(counts ** (p - i) * rest[i], axis=1)
+            if i == p:
+                sums = rest_total
+            else:
+                power = counts if i == p - 1 else counts ** (p - i)
+                sums = np.sum(power * rest[i], axis=1)
             parts.append(coeffs[i] * moments[0][i][rows] * sums)
     total = math.fsum(chain.from_iterable(parts))
     if total < -_L2_NEG_TOL:

@@ -26,7 +26,7 @@ from extdisc import (
     save_points,
     substream,
 )
-from extdisc.core import local_discrepancy_batch
+from extdisc.core import _BLOCK, _MAX_SCAN, _rank_table, local_discrepancy_batch
 
 
 def box(lo, hi):
@@ -102,10 +102,20 @@ class TestLocalDiscrepancy:
             (anchors, np.ones((4, 1)), weights),  # lower and upper differ in m
             (np.zeros(3), np.ones(3), weights),  # anchors not 2-d
             (anchors, np.ones((3, 1)), np.ones(3)),  # one weight too many
+            (np.full((3, 1), np.nan), np.ones((3, 1)), weights),  # NaN anchor
+            (anchors, np.full((3, 1), np.inf), weights),  # infinite anchor
+            (np.full((3, 1), -np.inf), np.ones((3, 1)), weights),
         ]
         for lo, hi, w in cases:
             with pytest.raises(InvalidInputError):
                 local_discrepancy_batch(coords, w, lo, hi)
+        for bad in (-0.25, 1.0, np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                local_discrepancy_batch(np.array([[0.25], [bad]]), weights, anchors, anchors + 1)
+        # finite anchors outside [0, 1] are boxes like any other
+        lo, hi = np.array([[-0.5], [0.5], [-2.0]]), np.array([[0.5], [1.5], [3.0]])
+        got = local_discrepancy_batch(coords, weights, lo, hi)
+        assert np.array_equal(got, [0.5 - 1.0, 0.5 - 1.0, 1.0 - 5.0])
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -149,32 +159,58 @@ def test_general_bound_property(coords, raw_weights, anchors):
 @given(
     n=st.sampled_from([0, 1, 7, 63, 64, 65, 4097]),
     d=st.integers(1, 3),
-    grid=st.sampled_from([4, 16, 1 << 30]),
+    grid=st.sampled_from([4, 16, 1 << 30, 0]),
     dyadic=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
 def test_batch_kernel_matches_definition(n, d, grid, dyadic, seed):
     # n crosses the byte, word and block boundaries of the bitsets; coarse
-    # grids put several points on one coordinate
+    # grids put several points on one coordinate; grid 0 puts up to n
+    # distinct coordinates 1e-12 apart into one bucket of the rank tables
     rng = np.random.default_rng(seed)
-    coords = rng.integers(0, grid, (n, d)) / grid
+    if grid:
+        coords = rng.integers(0, grid, (n, d)) / grid
+    else:
+        coords = 0.3 + rng.integers(0, n, (n, d)) * 1e-12
+        block = np.sort(coords[:_BLOCK], axis=0)
+        if len(np.unique(block[:, 0])) > _MAX_SCAN:
+            assert _rank_table(block[:, 0]) is None  # binary search fallback
     if dyadic:
         weights = rng.integers(-64, 65, n) / 64.0
     else:
         weights = rng.standard_normal(n) / math.sqrt(max(n, 1))
-    m = 48
+    m = 96
     lo, hi = sample_box_pairs(rng, m, d)
-    q = m // 4
+    q = m // 8
+    groups = [slice(k * q, (k + 1) * q) for k in range(8)]
     if n:
+
+        def point_anchors():
+            return coords[rng.integers(0, n, (q, d)), np.arange(d)]
+
         # anchors on point coordinates, so points sit on box faces
-        a = coords[rng.integers(0, n, (q, d)), np.arange(d)]
-        b = coords[rng.integers(0, n, (q, d)), np.arange(d)]
-        lo[:q], hi[:q] = np.minimum(a, b), np.maximum(a, b)
-    lo[q : 2 * q] = np.floor(lo[q : 2 * q] * grid) / grid
-    hi[q : 2 * q] = np.ceil(hi[q : 2 * q] * grid) / grid
-    hi[2 * q : 3 * q] = lo[2 * q : 3 * q]  # empty boxes lo == hi
-    lo[3 * q :], hi[3 * q :] = hi[3 * q :].copy(), lo[3 * q :].copy()  # lo > hi holds nothing
+        a, b = point_anchors(), point_anchors()
+        lo[groups[0]], hi[groups[0]] = np.minimum(a, b), np.maximum(a, b)
+        # and one ulp to either side of them
+        toward = rng.choice([-np.inf, np.inf], (2, q, d))
+        a, b = np.nextafter(point_anchors(), toward[0]), np.nextafter(point_anchors(), toward[1])
+        lo[groups[1]], hi[groups[1]] = np.minimum(a, b), np.maximum(a, b)
+    step = grid or 1 << 30
+    lo[groups[2]] = np.floor(lo[groups[2]] * step) / step
+    hi[groups[2]] = np.ceil(hi[groups[2]] * step) / step
+    # bucket edges k / 2^e of rank tables with 2^e buckets
+    scale = 2.0 ** rng.integers(3, 16, (2, q, d))
+    edges = np.floor(rng.random((2, q, d)) * (scale + 1)) / scale
+    lo[groups[3]], hi[groups[3]] = edges.min(axis=0), edges.max(axis=0)
+    # anchors at exactly 0.0 and 1.0, and finite anchors outside [0, 1]
+    lo[groups[4]] = np.where(rng.random((q, d)) < 0.5, 0.0, lo[groups[4]])
+    hi[groups[4]] = np.where(rng.random((q, d)) < 0.5, 1.0, hi[groups[4]])
+    lo[groups[5]] -= rng.integers(0, 2, (q, d)) * rng.random((q, d)) * 3.0
+    hi[groups[5]] += rng.integers(0, 2, (q, d)) * rng.random((q, d)) * 3.0
+    hi[groups[6]] = lo[groups[6]]  # empty boxes lo == hi
+    # lo > hi holds nothing
+    lo[groups[7]], hi[groups[7]] = hi[groups[7]].copy(), lo[groups[7]].copy()
     got = local_discrepancy_batch(coords, weights, lo, hi)
     want = definition_batch(coords, weights, lo, hi)
     if dyadic:

@@ -18,12 +18,14 @@ from extdisc import (
     WeightKind,
     WeightSet,
     classify_weights,
+    duality_gap_mc,
     equal_weights,
     extreme_l2_exact,
     extreme_linf_exact,
     extreme_linf_lower_mc,
     extreme_lp_exact_even_p,
     extreme_lp_mc,
+    substream,
 )
 from extdisc.engines import CellDecomposition
 from extdisc.generators import GeneratorKind, GeneratorSpec, generate
@@ -346,6 +348,50 @@ def test_exact_memory_is_bounded(engine, n, d):
     finally:
         tracemalloc.stop()
     assert peak <= 64 << 20
+
+
+def signed_rule(n, d, seed):
+    """Uniform points with weights (1 + N(0, 1/4)) / n, a few of them negative."""
+    ps = PointSet(substream(seed, 0).random((n, d)))
+    w = (1.0 + 0.5 * substream(seed, 1).standard_normal(n)) / n
+    return ps, WeightSet(w, classify_weights(w))
+
+
+# float.hex of extreme_lp_mc (value, stderr), extreme_linf_lower_mc value and
+# duality_gap_mc (pairing, qnorm_pow) at p = 3, 2^16 + 1000 samples, seed 5
+PINNED = {
+    "vdc256x4": (
+        "0x1.dc37a59c1286bp-10",
+        "0x1.396fcac548896p-17",
+        "0x1.90cf353e0c3b0p-6",
+        "0x1.e8da2a5c2ab3dp-10",
+        "0x1.0a41647900103p+0",
+    ),
+    "signed512x8": (
+        "0x1.78a8ed3387977p-13",
+        "0x1.2cc4c45914ad3p-18",
+        "0x1.0278d7d73f984p-6",
+        "0x1.62001e200aa9ep-13",
+        "0x1.d28001bb61de6p-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rule", sorted(PINNED))
+def test_sampled_outputs_are_pinned(rule, workers):
+    # README "Determinism": sampled outputs are a pure function of
+    # (rule, p, samples, seed), for any worker count
+    if rule == "vdc256x4":
+        ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, 256, 4))
+    else:
+        ps, ws = signed_rule(512, 8, seed=7)
+    samples = (1 << 16) + 1000
+    lp = extreme_lp_mc(ps, ws, 3.0, samples, seed=5, workers=workers)
+    linf = extreme_linf_lower_mc(ps, ws, samples, seed=5, workers=workers)
+    dual = duality_gap_mc(ps, ws, 3.0, samples, seed=5, workers=workers)
+    got = (lp.value, lp.stderr, linf.value, dual.pairing, dual.qnorm_pow)
+    assert tuple(v.hex() for v in got) == PINNED[rule]
 
 
 class TestMonteCarloContract:
