@@ -304,17 +304,13 @@ def _rank_table(axis_sorted: np.ndarray):
     in the sorted axis.  K is a power of two, so x K and k/K are exact.
     Returns None when some bucket holds more than _MAX_SCAN values.
     """
-    b = len(axis_sorted)
-    is_new = np.ones(b, dtype=bool)
-    np.not_equal(axis_sorted[1:], axis_sorted[:-1], out=is_new[1:])
-    first = np.flatnonzero(is_new)
-    distinct = axis_sorted[first]
+    distinct, first = np.unique(axis_sorted, return_index=True)
     buckets = 1 << ((len(distinct) - 1).bit_length() + 3)
     base = np.searchsorted(distinct, np.arange(buckets + 1) / buckets, "left")
     scan = int(np.diff(base).max())
     if scan > _MAX_SCAN:
         return None
-    return buckets, base, np.append(distinct, np.inf), np.append(first, b), scan
+    return buckets, base, np.append(distinct, np.inf), np.append(first, len(axis_sorted)), scan
 
 
 def _ranks(axis_sorted: np.ndarray, table, x: np.ndarray) -> np.ndarray:
