@@ -33,14 +33,14 @@ from .bounds import (
 from .core import (
     BudgetExceededError,
     InvalidInputError,
+    Method,
     equal_weights,
     load_points,
     points_csv,
 )
 from .dual import conjugate_exponent, duality_gap_mc
 from .engines import (
-    DEFAULT_BOX_BUDGET,
-    DEFAULT_CELL_BUDGET,
+    _check_exponent,
     extreme_l2_exact,
     extreme_linf_exact,
     extreme_linf_lower_mc,
@@ -95,40 +95,30 @@ def _add_pq(sub: argparse.ArgumentParser) -> None:
 # disc
 
 
+# the exponent of a method that implies one, when neither --p nor --q is given
+_IMPLIED_P = {Method.L2_EXACT: 2.0, Method.LINF_EXACT: math.inf, Method.LINF_SAMPLED: math.inf}
+
+
 def cmd_disc(args) -> int:
     ps, ws = load_points(args.input, d=args.d)
     if args.weights == "qmc":
         ws = equal_weights(ps.n)
-    method = args.method
-    if method == "l2-exact":
-        p = _resolve_p(args, default=2.0)
-        if p != 2.0:
-            raise InvalidInputError("l2-exact requires p = 2")
-        res = extreme_l2_exact(ps, ws)
-    elif method == "even-exact":
-        p = _resolve_p(args)
-        if math.isinf(p) or p != int(p) or int(p) % 2 or p < 2:
-            raise InvalidInputError("even-exact requires an even integer p >= 2")
-        budget = DEFAULT_CELL_BUDGET if args.budget is None else args.budget
-        res = extreme_lp_exact_even_p(ps, ws, int(p), cell_budget=budget)
-    elif method == "mc":
-        p = _resolve_p(args)
-        if math.isinf(p):
-            raise InvalidInputError("mc requires a finite p; use linf-mc for p = inf")
+    method = Method(args.method)
+    p = _resolve_p(args, default=_IMPLIED_P.get(method))
+    _check_exponent(method, p)
+    if method in (Method.MC, Method.LINF_SAMPLED):
         _need_sampling(args)
-        res = extreme_lp_mc(ps, ws, p, args.samples, args.seed, workers=args.workers)
-    elif method == "linf-exact":
-        p = _resolve_p(args, default=math.inf)
-        if not math.isinf(p):
-            raise InvalidInputError("linf-exact requires p = inf")
-        budget = DEFAULT_BOX_BUDGET if args.budget is None else args.budget
-        res = extreme_linf_exact(ps, ws, box_budget=budget)
-    else:  # linf-mc
-        p = _resolve_p(args, default=math.inf)
-        if not math.isinf(p):
-            raise InvalidInputError("linf-mc requires p = inf")
-        _need_sampling(args)
-        res = extreme_linf_lower_mc(ps, ws, args.samples, args.seed, workers=args.workers)
+    # without --budget the exact engines keep their default budgets
+    budget = () if args.budget is None else (args.budget,)
+    samples, seed, workers = args.samples, args.seed, args.workers
+    engines = {
+        Method.L2_EXACT: lambda: extreme_l2_exact(ps, ws),
+        Method.EVEN_P_EXACT: lambda: extreme_lp_exact_even_p(ps, ws, p, *budget),
+        Method.MC: lambda: extreme_lp_mc(ps, ws, p, samples, seed, workers),
+        Method.LINF_EXACT: lambda: extreme_linf_exact(ps, ws, *budget),
+        Method.LINF_SAMPLED: lambda: extreme_linf_lower_mc(ps, ws, samples, seed, workers),
+    }
+    res = engines[method]()
     _print_json(res.to_json_dict("disc", ps.d, ps.n))
     return 0
 
@@ -210,8 +200,6 @@ def cmd_bounds(args) -> int:
 def cmd_certify(args) -> int:
     ps, _ = load_points(args.input, d=args.d)
     p = _resolve_p(args)
-    if math.isinf(p) or p <= 1.0:
-        raise InvalidInputError("certify needs a finite p > 1")
     cert: Certificate = certificate_lower_bound(ps, p)
     _print_json(
         {
@@ -235,8 +223,6 @@ def cmd_certify(args) -> int:
 def cmd_duality_check(args) -> int:
     ps, ws = load_points(args.input, d=args.d)
     p = _resolve_p(args)
-    if math.isinf(p) or p <= 1.0:
-        raise InvalidInputError("duality-check needs a finite p > 1")
     _need_sampling(args)
     chk = duality_gap_mc(ps, ws, p, args.samples, args.seed, workers=args.workers)
     _print_json(
@@ -314,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument(
         "--method",
         required=True,
-        choices=["l2-exact", "even-exact", "mc", "linf-exact", "linf-mc"],
+        choices=[m.value for m in Method],
     )
     disc.add_argument("--samples", type=int, help="Monte Carlo sample count")
     disc.add_argument("--seed", type=int, help="stream seed; required when sampling")

@@ -23,16 +23,17 @@ import numpy as np
 from .core import (
     BoxPair,
     InvalidInputError,
+    Method,
     PointSet,
     WeightSet,
     local_discrepancy,
-    local_discrepancy_batch,
-    sample_box_pairs,
-    substream,
 )
 from .engines import (
-    _chunk_sizes,
-    _map_chunks,
+    _accepts,
+    _check_sampling,
+    _mean_stderr,
+    _sample,
+    _sums,
     extreme_l2_exact,
     extreme_lp_exact_even_p,
     extreme_lp_mc,
@@ -264,8 +265,9 @@ def _zscore(est: float, target: float, se: float) -> float:
         return 0.0 if est == target else math.inf
     return (est - target) / se
 
-# substream indices >= this are reserved for the norm estimate so its
-# samples never overlap the pairing samples
+
+# the MC norm is extreme_lp_mc at seed + this offset: the norm stream of seed s
+# is the pairing stream of seed s + 2^32; within one call the two are independent
 _NORM_STREAM_OFFSET = 1 << 32
 
 
@@ -287,59 +289,35 @@ def duality_gap_mc(
     p = _check_finite_p(p)
     if p == 1.0:
         raise InvalidInputError("duality audit needs p > 1 (q finite)")
-    if samples < 2:
-        raise InvalidInputError("need at least 2 samples")
-    if workers < 1:
-        raise InvalidInputError("workers must be >= 1")
-    if p == 2.0:
-        norm, norm_method = extreme_l2_exact(ps, ws).value, "l2-exact"
-    elif p == int(p) and int(p) % 2 == 0:
-        norm, norm_method = extreme_lp_exact_even_p(ps, ws, int(p)).value, "even-exact"
+    _check_sampling(ps, ws, samples, workers, least=2)
+    if _accepts(Method.L2_EXACT, p):
+        res = extreme_l2_exact(ps, ws)
+    elif _accepts(Method.EVEN_P_EXACT, p):
+        res = extreme_lp_exact_even_p(ps, ws, p)
     else:
         res = extreme_lp_mc(ps, ws, p, samples, seed + _NORM_STREAM_OFFSET, workers)
-        norm, norm_method = res.value, "mc"
+    norm = res.value
     if norm <= 0.0:
         raise InvalidInputError("rule has zero discrepancy, nothing to audit")
     q = conjugate_exponent(p)
 
-    sizes = _chunk_sizes(samples)
-    coords, weights, d = ps.coords, ws.values, ps.d
-
-    def one_chunk(i: int):
-        rng = substream(seed, i)
-        lo, hi = sample_box_pairs(rng, sizes[i], d)
-        delta = local_discrepancy_batch(coords, weights, lo, hi)
+    def per_chunk(delta: np.ndarray):
         cstar = representer_value(p, delta, norm)
-        y1 = cstar * delta
-        y2 = np.abs(cstar) ** q
-        return (
-            float(np.sum(y1)),
-            float(np.sum(y1 * y1)),
-            float(np.sum(y2)),
-            float(np.sum(y2 * y2)),
-        )
+        return _sums(cstar * delta), _sums(np.abs(cstar) ** q)
 
-    stats = _map_chunks(one_chunk, len(sizes), workers)
-    scale = 2.0**-d
-
-    def reduce_pair(idx: int):
-        tot = math.fsum(s[idx] for s in stats)
-        tot_sq = math.fsum(s[idx + 1] for s in stats)
-        mean = tot / samples
-        var = max(tot_sq - tot * tot / samples, 0.0) / (samples - 1)
-        return scale * mean, scale * math.sqrt(var / samples)
-
-    pairing, pairing_se = reduce_pair(0)
-    qnorm, qnorm_se = reduce_pair(2)
+    sums = _sample(ps, ws, samples, seed, workers, per_chunk)
+    scale = 2.0**-ps.d
+    pairing, pairing_se = _mean_stderr([s[0] for s in sums], samples)
+    qnorm, qnorm_se = _mean_stderr([s[1] for s in sums], samples)
     return DualityCheck(
         p=p,
         q=q,
         norm=norm,
-        norm_method=norm_method,
-        pairing=pairing,
-        pairing_stderr=pairing_se,
-        qnorm_pow=qnorm,
-        qnorm_stderr=qnorm_se,
+        norm_method=res.method.value,
+        pairing=scale * pairing,
+        pairing_stderr=scale * pairing_se,
+        qnorm_pow=scale * qnorm,
+        qnorm_stderr=scale * qnorm_se,
         samples=samples,
         seed=seed,
     )

@@ -8,7 +8,10 @@ and its p = infinity analogue, the essential supremum.  Exact finite-p
 evaluation is supported for p = 2 (closed form) and all even integers
 (piecewise-polynomial cell integration); other finite p go through Monte
 Carlo.  The sup norm has an exact grid enumeration and a sampled hard
-lower bound.
+lower bound.  One table, `_EXPONENT_RULES`, holds the exponents each
+`Method` accepts, for the engines and the CLI alike.  Every sampler,
+`dual.duality_gap_mc` included, runs on one chunked core, `_sample`, and
+reduces its per-chunk sums in chunk order with `_mean_stderr`.
 
 The grid engines never build a point-by-box membership matrix: every
 weighted count is a difference of one cumulative weighted histogram over
@@ -50,6 +53,26 @@ _SLAB = 1 << 16
 # squared-total clamp for the closed-form L2 path; anything more negative
 # indicates a real inconsistency, not roundoff
 _L2_NEG_TOL = 1e-12
+
+
+# (accepted exponents, test) per method, shared by the engines, dual and the CLI
+_EXPONENT_RULES = {
+    Method.L2_EXACT: ("p = 2", lambda p: p == 2),
+    Method.EVEN_P_EXACT: ("an even integer p >= 2", lambda p: 2 <= p < math.inf and p % 2 == 0),
+    Method.MC: ("1 <= p < inf", lambda p: 1 <= p < math.inf),
+    Method.LINF_EXACT: ("p = inf", lambda p: p == math.inf),
+    Method.LINF_SAMPLED: ("p = inf", lambda p: p == math.inf),
+}
+
+
+def _accepts(method: Method, p) -> bool:
+    return _EXPONENT_RULES[method][1](p)
+
+
+def _check_exponent(method: Method, p) -> None:
+    if not _accepts(method, p):
+        text = _EXPONENT_RULES[method][0]
+        raise InvalidInputError(f"{method.value} requires {text}, got p = {p}")
 
 
 def _check_pair(ps: PointSet, ws: WeightSet) -> None:
@@ -218,10 +241,13 @@ def extreme_lp_exact_even_p(
     axes of the interval pair counts; `cell_budget` caps that product.
     """
     _check_pair(ps, ws)
-    if not (isinstance(p, (int, np.integer)) and p >= 2 and p % 2 == 0):
-        raise InvalidInputError("even-p engine needs an even integer p >= 2")
+    _check_exponent(Method.EVEN_P_EXACT, p)
     _check_budget(cell_budget)
     p = int(p)
+    if p + 1 > cell_budget:  # the work is at least p + 1 binomial terms
+        raise BudgetExceededError(
+            f"p = {p} needs {p + 1} terms per cell, over budget {cell_budget}; use extreme_lp_mc"
+        )
     cd = CellDecomposition.from_points(ps)
     ncells = cd.interval_pair_count()
     if ncells > cell_budget:
@@ -300,17 +326,44 @@ def extreme_linf_exact(
 # Monte Carlo
 
 
-def _chunk_sizes(samples: int) -> list[int]:
+def _check_sampling(ps: PointSet, ws: WeightSet, samples, workers: int, least: int) -> None:
+    _check_pair(ps, ws)
+    if not (isinstance(samples, (int, np.integer)) and samples >= least):
+        raise InvalidInputError(f"samples must be an integer >= {least}, got {samples!r}")
+    if workers < 1:
+        raise InvalidInputError("workers must be >= 1")
+
+
+def _sample(ps: PointSet, ws: WeightSet, samples: int, seed: int, workers: int, per_chunk) -> list:
+    """per_chunk(delta) for each chunk of sampled local discrepancies, in chunk order.
+
+    Chunk i holds CHUNK boxes, the last one the remainder, drawn from
+    substream(seed, i), so the list does not depend on the worker count.
+    Callers check their arguments with _check_sampling first.
+    """
     full, rem = divmod(samples, CHUNK)
-    return [CHUNK] * full + ([rem] if rem else [])
+    sizes = [CHUNK] * full + ([rem] if rem else [])
 
+    def run_chunk(i: int):
+        lo, hi = sample_box_pairs(substream(seed, i), sizes[i], ps.d)
+        return per_chunk(local_discrepancy_batch(ps.coords, ws.values, lo, hi))
 
-def _map_chunks(fn, nchunks: int, workers: int) -> list:
-    """Evaluate fn(0..nchunks-1), results ordered by chunk index."""
-    if workers <= 1 or nchunks <= 1:
-        return [fn(i) for i in range(nchunks)]
+    if workers == 1 or len(sizes) == 1:
+        return [run_chunk(i) for i in range(len(sizes))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(nchunks)))
+        return list(pool.map(run_chunk, range(len(sizes))))
+
+
+def _sums(y: np.ndarray) -> tuple[float, float]:
+    return float(np.sum(y)), float(np.sum(y * y))
+
+
+def _mean_stderr(sums: list[tuple[float, float]], samples: int) -> tuple[float, float]:
+    """Sample mean and its standard error from per-chunk (sum y, sum y^2)."""
+    total = math.fsum(s[0] for s in sums)
+    total_sq = math.fsum(s[1] for s in sums)
+    var = max(total_sq - total * total / samples, 0.0) / (samples - 1)
+    return total / samples, math.sqrt(var / samples)
 
 
 def extreme_lp_mc(
@@ -328,30 +381,12 @@ def extreme_lp_mc(
     is bit-identical for any worker count.  The standard error of the root
     is propagated from the mean of |delta|^p by the delta method.
     """
-    _check_pair(ps, ws)
     p = float(p)
-    if not (1.0 <= p < math.inf):
-        raise InvalidInputError("Monte Carlo engine needs 1 <= p < inf")
-    if samples < 2:
-        raise InvalidInputError("need at least 2 samples")
-    if workers < 1:
-        raise InvalidInputError("workers must be >= 1")
-    sizes = _chunk_sizes(samples)
-    coords, weights, d = ps.coords, ws.values, ps.d
-
-    def one_chunk(i: int) -> tuple[float, float]:
-        rng = substream(seed, i)
-        lo, hi = sample_box_pairs(rng, sizes[i], d)
-        y = np.abs(local_discrepancy_batch(coords, weights, lo, hi)) ** p
-        return float(np.sum(y)), float(np.sum(y * y))
-
-    stats = _map_chunks(one_chunk, len(sizes), workers)
-    total = math.fsum(s[0] for s in stats)
-    total_sq = math.fsum(s[1] for s in stats)
-    mean = total / samples
-    var = max(total_sq - total * total / samples, 0.0) / (samples - 1)
-    se_mean = math.sqrt(var / samples)
-    scale = 2.0**-d
+    _check_exponent(Method.MC, p)
+    _check_sampling(ps, ws, samples, workers, least=2)
+    sums = _sample(ps, ws, samples, seed, workers, lambda delta: _sums(np.abs(delta) ** p))
+    mean, se_mean = _mean_stderr(sums, samples)
+    scale = 2.0**-ps.d
     raw = scale * mean
     if raw > 0.0:
         value = raw ** (1.0 / p)
@@ -377,20 +412,8 @@ def extreme_linf_lower_mc(
     supremum, so the reported value is a certified lower bound; stderr is
     0.0 by convention since a sample maximum carries no error estimate.
     """
-    _check_pair(ps, ws)
-    if samples < 1:
-        raise InvalidInputError("need at least 1 sample")
-    if workers < 1:
-        raise InvalidInputError("workers must be >= 1")
-    sizes = _chunk_sizes(samples)
-    coords, weights, d = ps.coords, ws.values, ps.d
-
-    def one_chunk(i: int) -> float:
-        rng = substream(seed, i)
-        lo, hi = sample_box_pairs(rng, sizes[i], d)
-        return float(np.max(np.abs(local_discrepancy_batch(coords, weights, lo, hi))))
-
-    best = max(_map_chunks(one_chunk, len(sizes), workers))
+    _check_sampling(ps, ws, samples, workers, least=1)
+    maxima = _sample(ps, ws, samples, seed, workers, lambda delta: float(np.max(np.abs(delta))))
     return DiscrepancyResult(
-        best, math.inf, Method.LINF_SAMPLED, stderr=0.0, samples=samples, seed=seed
+        max(maxima), math.inf, Method.LINF_SAMPLED, stderr=0.0, samples=samples, seed=seed
     )

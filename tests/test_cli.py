@@ -127,6 +127,10 @@ class TestDisc:
         assert run_cli("disc", "--input", one_center, "--p", "inf", "--method", "mc",
                        "--samples", "100", "--seed", "1")[0] == 2
         assert run_cli("disc", "--input", one_center, "--p", "2", "--method", "linf-exact")[0] == 2
+        assert run_cli("disc", "--input", one_center, "--p", "3", "--method", "linf-mc",
+                       "--samples", "100", "--seed", "1")[0] == 2
+        for p in ("inf", "3.5"):
+            assert run_cli("disc", "--input", one_center, "--p", p, "--method", "even-exact")[0] == 2
 
     def test_sampling_flags_required(self, one_center):
         code, _, err = run_cli("disc", "--input", one_center, "--p", "2", "--method", "mc")
@@ -138,6 +142,12 @@ class TestDisc:
         save_points(f, PointSet(rng.random((40, 2))), equal_weights(40))
         code, _, err = run_cli(
             "disc", "--input", f, "--method", "linf-exact", "--budget", "10"
+        )
+        assert code == 3 and "budget" in err
+
+    def test_huge_even_p_exit_code(self, one_center):
+        code, _, err = run_cli(
+            "disc", "--input", one_center, "--p", "1e30", "--method", "even-exact"
         )
         assert code == 3 and "budget" in err
 
@@ -257,6 +267,17 @@ class TestDualityCheck:
         assert obj["norm"] == pytest.approx(12**-0.5, abs=1e-15)
         assert abs(obj["pairing_z"]) <= 3.0
         assert abs(obj["qnorm_z"]) <= 3.0
+
+    def test_p_guard(self, one_center):
+        sampled = ("--input", one_center, "--samples", "100", "--seed", "1")
+        assert run_cli("duality-check", *sampled, "--p", "1")[0] == 2
+        assert run_cli("duality-check", *sampled, "--p", "inf")[0] == 2
+
+    def test_huge_even_p_exit_code(self, one_center):
+        code, _, err = run_cli(
+            "duality-check", "--input", one_center, "--p", "1e30", "--samples", "100", "--seed", "1"
+        )
+        assert code == 3 and "budget" in err
 
     def test_zero_workers_exit_code(self, one_center):
         sampled = ("--input", one_center, "--p", "2", "--samples", "1000", "--seed", "1")

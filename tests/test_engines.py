@@ -233,6 +233,7 @@ class TestCrossEngine:
             a = extreme_l2_exact(ps, ws).value
             b = extreme_lp_exact_even_p(ps, ws, 2).value
             assert abs(a - b) < 1e-10
+        assert extreme_lp_exact_even_p(ps, ws, 4.0) == extreme_lp_exact_even_p(ps, ws, 4)
 
     def test_mc_matches_exact(self):
         rng = np.random.default_rng(29)
@@ -457,6 +458,17 @@ class TestGuards:
         with pytest.raises(BudgetExceededError, match="extreme_linf_lower_mc"):
             extreme_linf_exact(ps, ws, box_budget=100)
 
+    def test_huge_even_p_exceeds_budget(self):
+        # p + 1 binomial terms per cell: p alone can exceed the budget
+        ps, ws = PointSet([[0.5]]), equal_weights(1)
+        with pytest.raises(BudgetExceededError, match=r"p = 1000000000000000019884624838656"):
+            extreme_lp_exact_even_p(ps, ws, 1e30)
+        with pytest.raises(BudgetExceededError, match="p = 10 "):
+            extreme_lp_exact_even_p(ps, ws, 10, cell_budget=10)
+        assert extreme_lp_exact_even_p(ps, ws, 8, cell_budget=9).value > 0.0
+        with pytest.raises(BudgetExceededError):
+            duality_gap_mc(ps, ws, 1e30, 100, seed=1)
+
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_rejected(self, budget):
         ps = PointSet([[0.5]])
@@ -480,3 +492,10 @@ class TestGuards:
             extreme_lp_mc(ps, equal_weights(1), 2.0, 1, seed=0)
         with pytest.raises(InvalidInputError):
             extreme_linf_lower_mc(ps, equal_weights(1), 0, seed=0)
+        # non-integral counts are rejected too; numpy ints are accepted
+        for sampler in (extreme_lp_mc, duality_gap_mc):
+            with pytest.raises(InvalidInputError, match="integer"):
+                sampler(ps, equal_weights(1), 3.0, 1e5, 1)
+        with pytest.raises(InvalidInputError, match="integer"):
+            extreme_linf_lower_mc(ps, equal_weights(1), 1e5, seed=1)
+        assert extreme_lp_mc(ps, equal_weights(1), 3.0, np.int64(3), seed=0).samples == 3
