@@ -233,9 +233,9 @@ class DiscrepancyResult:
         if self.stderr is not None:
             out["stderr"] = self.stderr
         if self.samples is not None:
-            out["samples"] = self.samples
+            out["samples"] = int(self.samples)
         if self.seed is not None:
-            out["seed"] = self.seed
+            out["seed"] = int(self.seed)
         return out
 
 
@@ -416,8 +416,9 @@ def sample_box_pair(rng, d: int) -> BoxPair:
 # Lines starting with '#' are comments.  An optional header row must read
 # x1,...,xd or x1,...,xd,weight.  Without a header every column is a
 # coordinate and the rule is an equal-weight (QMC) rule; a weight column is
-# recognized only through the header.  Floats are written with repr so a
-# save/load round trip is bit exact.
+# recognized only through the header.  Numbers, in the header test too, go
+# through numpy's text reader: ASCII, no digit underscores, and bit exact
+# for repr output.  Errors name the line and column.
 
 _HEADER_COORD = re.compile(r"x(\d+)$")
 
@@ -440,31 +441,68 @@ def _parse_header(fields: list[str], lineno: int) -> tuple[int, bool]:
     return len(coord_fields), has_weight
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    """The file's lines, split as universal-newline text mode splits them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:  # exc.object holds the whole file's bytes
+        lineno = len((exc.object[: exc.start] + b".").splitlines())
+        raise InvalidInputError(f"{path}: line {lineno} is not UTF-8 text") from None
+
+
+def _loadtxt(lines: list[str]) -> np.ndarray | None:
+    """Parse nonblank comma-separated lines; None when numpy rejects them."""
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _parse_rows(lines: list[str], linenos: list[int], width: int, d: int) -> np.ndarray:
+    """Parse data rows in one call; on failure, halve to the first bad row."""
+    table = _loadtxt(lines)
+    if table is not None and table.shape[1] == width:
+        bad = ~((table[:, :d] >= 0.0) & (table[:, :d] < 1.0))
+        if not bad.any():
+            return table
+        r, c = divmod(int(bad.argmax()), d)
+        raise InvalidInputError(
+            f"line {linenos[r]}, column {c + 1}: coordinate {float(table[r, c])} outside [0, 1)"
+        )
+    if h := len(lines) // 2:
+        head = _parse_rows(lines[:h], linenos[:h], width, d)
+        return np.vstack((head, _parse_rows(lines[h:], linenos[h:], width, d)))
+    fields = _split(lines[0])
+    if len(fields) != width:
+        raise InvalidInputError(f"line {linenos[0]}: expected {width} fields, found {len(fields)}")
+    c = next(c for c, f in enumerate(fields) if not f or _loadtxt([f]) is None)
+    if c:  # a coordinate out of range before the bad field is reported first
+        _parse_rows([",".join(fields[:c])], linenos, c, min(c, d))
+    raise InvalidInputError(f"line {linenos[0]}, column {c + 1}: {fields[c]!r} is not a number")
+
+
 def load_points(path: str | Path, d: int | None = None) -> tuple[PointSet, WeightSet]:
     """Read a CSV point file; returns the points and classified weights.
 
     `d` is only needed to fix the dimension of files with no header and no
     data rows; otherwise it cross-checks the file.
     """
-    rows: list[tuple[int, list[str]]] = []
-    header: tuple[int, bool] | None = None
-    seen_data = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = _split(line)
-            if not seen_data and header is None and any(not _is_float(f) for f in fields):
-                header = _parse_header(fields, lineno)
-                continue
-            seen_data = True
-            rows.append((lineno, fields))
+    lines, linenos, header = [], [], None
+    for lineno, raw in enumerate(_read_lines(path), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not lines and header is None and _loadtxt([line]) is None:
+            header = _parse_header(_split(line), lineno)
+            continue
+        lines.append(line)
+        linenos.append(lineno)
 
     if header is not None:
         file_d, has_weight = header
-    elif rows:
-        file_d, has_weight = len(rows[0][1]), False
+    elif lines:
+        file_d, has_weight = len(_split(lines[0])), False
     elif d is not None:
         file_d, has_weight = d, False
     else:
@@ -473,37 +511,14 @@ def load_points(path: str | Path, d: int | None = None) -> tuple[PointSet, Weigh
         raise InvalidInputError(f"{path}: file dimension {file_d} but d={d} requested")
 
     width = file_d + (1 if has_weight else 0)
-    coords = np.empty((len(rows), file_d))
-    weights = np.empty(len(rows))
-    for r, (lineno, fields) in enumerate(rows):
-        if len(fields) != width:
-            raise InvalidInputError(
-                f"line {lineno}: expected {width} fields, found {len(fields)}"
-            )
-        for c, f in enumerate(fields):
-            try:
-                v = float(f)
-            except ValueError:
-                raise InvalidInputError(
-                    f"line {lineno}, column {c + 1}: {f!r} is not a number"
-                ) from None
-            if c < file_d:
-                if not (0.0 <= v < 1.0):
-                    raise InvalidInputError(
-                        f"line {lineno}, column {c + 1}: coordinate {v} outside [0, 1)"
-                    )
-                coords[r, c] = v
-            else:
-                weights[r] = v
-
-    ps = PointSet(coords)
+    table = _parse_rows(lines, linenos, width, file_d) if lines else np.empty((0, width))
+    ps = PointSet(table[:, :file_d])
     if not has_weight:
         if ps.n == 0:
             # no 1/n weights exist for n = 0; the empty rule is vacuously nonneg
             return ps, WeightSet(np.empty(0), WeightKind.NONNEG)
         return ps, equal_weights(ps.n)
-    kind = classify_weights(weights)
-    return ps, WeightSet(weights, kind)
+    return ps, WeightSet(table[:, file_d], classify_weights(table[:, file_d]))
 
 
 def points_csv(ps: PointSet, ws: WeightSet) -> str:
@@ -511,26 +526,11 @@ def points_csv(ps: PointSet, ws: WeightSet) -> str:
     if ws.n != ps.n:
         raise InvalidInputError("point set and weight set sizes differ")
     with_weight = ws.kind is not WeightKind.QMC
-    head = [f"x{j + 1}" for j in range(ps.d)]
-    if with_weight:
-        head.append("weight")
-    lines = [",".join(head)]
-    for k in range(ps.n):
-        fields = [repr(float(v)) for v in ps.coords[k]]
-        if with_weight:
-            fields.append(repr(float(ws.values[k])))
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    head = [f"x{j + 1}" for j in range(ps.d)] + ["weight"] * with_weight
+    table = np.column_stack((ps.coords, ws.values)) if with_weight else ps.coords
+    return "\n".join([",".join(head)] + [",".join(map(repr, r)) for r in table.tolist()]) + "\n"
 
 
 def save_points(path: str | Path, ps: PointSet, ws: WeightSet) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(points_csv(ps, ws))
-
-
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-    except ValueError:
-        return False
-    return True

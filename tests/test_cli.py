@@ -1,5 +1,6 @@
 """Command line interface: schemas, conjugate handling, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -162,6 +163,14 @@ class TestDisc:
     def test_missing_file(self):
         assert run_cli("disc", "--input", "no_such.csv", "--p", "2", "--method", "l2-exact")[0] == 2
 
+    def test_non_utf8_file_exit_code(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"x1\n0.5\n\xff\n")
+        code, out, err = run_cli("disc", "--input", f, "--method", "l2-exact")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "line 3 is not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_missing_exponent(self, one_center):
         code, _, err = run_cli(
             "disc", "--input", one_center, "--method", "mc", "--samples", "100", "--seed", "1"
@@ -312,6 +321,14 @@ class TestGenerate:
         assert lines[0].startswith("# config:")
         assert lines[1] == "x1,x2"
         assert len(lines) == 6
+
+    def test_random_stdout_is_pinned(self):
+        # the bytes of the per-value writer that `reference_points_csv` keeps
+        code, out, _ = run_cli("generate", "--kind", "random", "--n", "1000", "--d", "3", "--seed", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e775bfa9f5d524a56d5df2cd230b0897ab2e1caafb64eb33aa9d36ef2aa786d0"
+        )
 
     def test_lattice_needs_vector(self):
         assert run_cli("generate", "--kind", "lattice", "--n", "5", "--d", "2")[0] == 2

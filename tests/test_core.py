@@ -1,5 +1,6 @@
 """Core model: local discrepancy, sampling, point file round trips."""
 
+import json
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ from extdisc import (
     WeightSet,
     classify_weights,
     equal_weights,
+    extreme_lp_mc,
     load_points,
     local_discrepancy,
     sample_box_pair,
@@ -26,7 +28,15 @@ from extdisc import (
     save_points,
     substream,
 )
-from extdisc.core import _BLOCK, _MAX_SCAN, _rank_table, local_discrepancy_batch
+from extdisc.core import (
+    _BLOCK,
+    _MAX_SCAN,
+    _parse_header,
+    _rank_table,
+    _split,
+    local_discrepancy_batch,
+    points_csv,
+)
 
 
 def box(lo, hi):
@@ -310,6 +320,13 @@ class TestValidation:
             DiscrepancyResult(0.1, 2.0, Method.L2_EXACT, stderr=0.01)
         DiscrepancyResult(0.1, 2.0, Method.MC, stderr=0.01, samples=10, seed=1)
 
+    def test_result_json_takes_numpy_ints(self):
+        ps, ws = PointSet([[0.25, 0.5], [0.75, 0.125]]), equal_weights(2)
+        res = extreme_lp_mc(ps, ws, 3.0, np.int64(1000), seed=np.int64(0))
+        out = json.loads(json.dumps(res.to_json_dict("disc", 2, 2)))
+        assert (out["samples"], out["seed"]) == (1000, 0)
+        assert type(res.to_json_dict("disc", 2, 2)["samples"]) is int
+
     def test_result_json_fields(self):
         r = DiscrepancyResult(0.5, math.inf, Method.LINF_EXACT)
         d = r.to_json_dict("disc", 2, 4)
@@ -321,6 +338,141 @@ class TestValidation:
             "method": "linf-exact",
             "value": 0.5,
         }
+
+
+def reference_load_points(path, d=None):
+    """Reference for `load_points`: the per-field float() parser it replaced."""
+
+    def is_float(s):
+        try:
+            float(s)
+        except ValueError:
+            return False
+        return True
+
+    rows, header, seen_data = [], None, False
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = _split(line)
+            if not seen_data and header is None and any(not is_float(f) for f in fields):
+                header = _parse_header(fields, lineno)
+                continue
+            seen_data = True
+            rows.append((lineno, fields))
+    if header is not None:
+        file_d, has_weight = header
+    elif rows:
+        file_d, has_weight = len(rows[0][1]), False
+    elif d is not None:
+        file_d, has_weight = d, False
+    else:
+        raise InvalidInputError(f"{path}: empty file and no dimension given")
+    if d is not None and d != file_d:
+        raise InvalidInputError(f"{path}: file dimension {file_d} but d={d} requested")
+    width = file_d + (1 if has_weight else 0)
+    coords, weights = np.empty((len(rows), file_d)), np.empty(len(rows))
+    for r, (lineno, fields) in enumerate(rows):
+        if len(fields) != width:
+            raise InvalidInputError(f"line {lineno}: expected {width} fields, found {len(fields)}")
+        for c, f in enumerate(fields):
+            try:
+                v = float(f)
+            except ValueError:
+                raise InvalidInputError(
+                    f"line {lineno}, column {c + 1}: {f!r} is not a number"
+                ) from None
+            if c < file_d:
+                if not (0.0 <= v < 1.0):
+                    raise InvalidInputError(
+                        f"line {lineno}, column {c + 1}: coordinate {v} outside [0, 1)"
+                    )
+                coords[r, c] = v
+            else:
+                weights[r] = v
+    ps = PointSet(coords)
+    if not has_weight:
+        if ps.n == 0:
+            return ps, WeightSet(np.empty(0), WeightKind.NONNEG)
+        return ps, equal_weights(ps.n)
+    return ps, WeightSet(weights, classify_weights(weights))
+
+
+def reference_points_csv(ps, ws):
+    """Reference for `points_csv`: the per-value writer it replaced."""
+    with_weight = ws.kind is not WeightKind.QMC
+    head = [f"x{j + 1}" for j in range(ps.d)]
+    if with_weight:
+        head.append("weight")
+    lines = [",".join(head)]
+    for k in range(ps.n):
+        fields = [repr(float(v)) for v in ps.coords[k]]
+        if with_weight:
+            fields.append(repr(float(ws.values[k])))
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def load_outcome(loader, path, d=None):
+    """The loaded bytes and weight kind, or the InvalidInputError message."""
+    try:
+        ps, ws = loader(path, d)
+    except InvalidInputError as exc:
+        return str(exc)
+    return ps.coords.shape, ps.coords.tobytes(), ws.values.tobytes(), ws.kind
+
+
+# Strings on which float() and numpy's reader agree.  Both grammars accept
+# these the same way; only digit underscores and non-ASCII digits differ.
+_SPECIAL_FIELDS = (
+    "0", "-0.0", "1", "1.0", "0.9999999999999999", "1e-5", "1E-5", ".5", "5.", "+0.25",
+    "5e-324", "2.2250738585072014e-308", "1e400", "-1e400", "nan", "-nan", "inf", "-inf",
+    "Infinity", "NaN", "-2.5", "7", "", "abc", "x1", "weight", "1.2.3", "--1", "0x10",
+    "1e", "e3", ".", "nan(1)", "1d5", "'0.5'", '"0.5"', "1,5", "#1",
+)
+
+
+@st.composite
+def csv_fields(draw, wild_pct, weight):
+    if draw(st.integers(0, 99)) >= wild_pct:  # a coordinate or weight written by repr
+        text = repr(draw(st.floats(-2.0, 2.0) if weight else st.floats(0.0, 1.0, exclude_max=True)))
+    elif draw(st.booleans()):  # any float in the three printf styles
+        v = draw(st.floats(allow_nan=True, allow_infinity=True, width=64))
+        text = draw(st.sampled_from(["%r", "%.25g", "%.3f"])) % v
+    else:
+        text = draw(st.sampled_from(_SPECIAL_FIELDS))
+    pad = st.sampled_from(["", "", " ", "  ", "\t"])
+    return draw(pad) + text + draw(pad)
+
+
+@st.composite
+def point_files(draw):
+    """A CSV text and a `d` argument; some files are clean, most have a defect."""
+    d = draw(st.integers(1, 3))
+    weighted = draw(st.booleans())
+    width = d + weighted
+    wild_pct = draw(st.sampled_from([0, 0, 5, 25]))
+    lines = []
+    header = draw(st.sampled_from(["none", "plain", "plain", "bad"]))
+    if header == "plain":
+        lines.append(",".join([f"x{j + 1}" for j in range(d)] + ["Weight"] * weighted))
+    elif header == "bad":
+        lines.append(",".join(["x1", "y2", "weight"][:width]))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 19))
+        if kind < 2:
+            lines.append(draw(st.sampled_from(["", "   ", "# comment", "  # x1,x2", "#"])))
+            continue
+        n_fields = width
+        if kind == 2 and width > 1 and wild_pct:  # a ragged row
+            n_fields += draw(st.sampled_from([-1, 1]))
+        fields = [csv_fields(wild_pct, weighted and header == "plain" and c == d) for c in range(n_fields)]
+        lines.append(",".join(draw(st.tuples(*fields))))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text, draw(st.sampled_from([None, None, None, d, d % 3 + 1]))
 
 
 class TestPointFiles:
@@ -398,3 +550,62 @@ class TestPointFiles:
         f.write_text("x1,x2\n0.1,0.2\n")
         with pytest.raises(InvalidInputError, match="dimension"):
             load_points(f, d=3)
+
+    def test_non_utf8_file_names_the_line(self, tmp_path):
+        f = tmp_path / "u.csv"
+        f.write_bytes(b"x1\r\n0.5\r\n# caf\xc3\xa9\r\n0.7\xff\n")
+        with pytest.raises(InvalidInputError, match=r"u\.csv: line 4 is not UTF-8"):
+            load_points(f)
+        f.write_bytes(b"x1\n" + b"0.5\n" * 30000 + b"0.\xff\n")
+        with pytest.raises(InvalidInputError, match="line 30002 is not UTF-8"):
+            load_points(f)
+
+    @given(point_files())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_matches_reference(self, tmp_path_factory, case):
+        text, d = case
+        f = tmp_path_factory.mktemp("files") / "p.csv"
+        f.write_bytes(text.encode())
+        assert load_outcome(load_points, f, d) == load_outcome(reference_load_points, f, d)
+
+    def test_first_bad_row_deep_in_a_large_file(self, tmp_path):
+        # several defects far apart: the earliest row decides, and within a
+        # row the earliest field, whatever the kinds of the defects
+        rows = [f"{(k % 997) / 997!r},{(k % 13) / 13!r}" for k in range(5000)]
+        f = tmp_path / "big.csv"
+        for edits in (
+            {4321: "0.5", 4400: "1.5,0.5", 4999: "0.5,nope"},
+            {1234: "1.5,x", 3000: "0.5"},
+            {2047: "0.25,0.5,0.75", 2048: "-1,0.5"},
+            {0: "0.5,", 1: "0.5,1.0"},
+            {4999: "0.5,0.25", 4998: "1e9,1_0"},
+        ):
+            f.write_text("\n".join(edits.get(k, r) for k, r in enumerate(rows)) + "\n")
+            got = load_outcome(load_points, f)
+            assert isinstance(got, str) and got == load_outcome(reference_load_points, f)
+
+    def test_digit_underscores_are_not_numbers(self, tmp_path):
+        # float() reads 1_0 as 10.0; numpy's reader rejects it, in data rows
+        # and in the header test alike
+        f = tmp_path / "u.csv"
+        f.write_text("x1,x2\n0.5,0.25\n0.5,1_0\n")
+        with pytest.raises(InvalidInputError, match=r"line 3, column 2: '1_0' is not a number"):
+            load_points(f)
+        f.write_text("0.5,1_0\n0.5,0.25\n")
+        with pytest.raises(InvalidInputError, match=r"line 1: header column 1 is '0.5'"):
+            load_points(f)
+
+    def test_writer_matches_reference(self, tmp_path):
+        vals = np.array([0.0, 5e-324, 1e-5, 0.1, 1 / 3, np.nextafter(1.0, 0.0)])
+        for ps in (PointSet(vals[:, None]), PointSet(vals[None, :]), PointSet(np.empty((0, 2)))):
+            n = ps.n
+            rules = [WeightSet(vals[:n], WeightKind.NONNEG), WeightSet(-vals[:n], WeightKind.GENERAL)]
+            if n:
+                rules.append(equal_weights(n))
+            for ws in rules:
+                text = points_csv(ps, ws)
+                assert text == reference_points_csv(ps, ws)
+                save_points(tmp_path / "w.csv", ps, ws)
+                ps2, ws2 = load_points(tmp_path / "w.csv")
+                assert ps2.coords.tobytes() == ps.coords.tobytes()
+                assert ws2.values.tobytes() == ws.values.tobytes()
