@@ -29,8 +29,11 @@ from .core import (
     local_discrepancy,
 )
 from .engines import (
+    DEFAULT_CELL_BUDGET,
+    CellDecomposition,
     _accepts,
     _check_sampling,
+    _even_p_fits,
     _mean_stderr,
     _sample,
     _sums,
@@ -281,10 +284,12 @@ def duality_gap_mc(
 ) -> DualityCheck:
     """Monte Carlo audit of the duality identities for one rule.
 
-    The norm is computed exactly when p is 2 or an even integer and by an
-    independent Monte Carlo stream otherwise.  The pairing and the
-    conjugate-norm power then come from fresh sampled boxes; both have
-    known targets (norm and 1), reported with delta-free z-scores.
+    The norm is computed exactly when p is 2, or an even integer whose
+    cell count fits `DEFAULT_CELL_BUDGET`, and by an independent Monte
+    Carlo stream otherwise; `norm_method` names the engine that ran.  The
+    pairing and the conjugate-norm power then come from fresh sampled
+    boxes; both have known targets (norm and 1), reported with delta-free
+    z-scores.
     """
     p = _check_finite_p(p)
     if p == 1.0:
@@ -292,7 +297,9 @@ def duality_gap_mc(
     _check_sampling(ps, ws, samples, workers, least=2)
     if _accepts(Method.L2_EXACT, p):
         res = extreme_l2_exact(ps, ws)
-    elif _accepts(Method.EVEN_P_EXACT, p):
+    elif _accepts(Method.EVEN_P_EXACT, p) and _even_p_fits(
+        CellDecomposition.from_points(ps), DEFAULT_CELL_BUDGET
+    ):
         res = extreme_lp_exact_even_p(ps, ws, p)
     else:
         res = extreme_lp_mc(ps, ws, p, samples, seed + _NORM_STREAM_OFFSET, workers)

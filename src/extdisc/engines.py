@@ -16,8 +16,13 @@ reduces its per-chunk sums in chunk order with `_mean_stderr`.
 The grid engines never build a point-by-box membership matrix: every
 weighted count is a difference of one cumulative weighted histogram over
 the breakpoint grid (`CellDecomposition.prefix_weights`), differenced over
-axes 1.. once and over axis 0 in slabs of about `_SLAB` counts.  The L2
-engine builds its pair kernel in row blocks of about `_SLAB` entries.
+axes 1.. once (`_difference_rest`).  The even-p engine then differences
+axis 0 in slabs of about `_SLAB` counts.  The sup-norm engine scans axis 0
+of slabs of about `_SLAB` table entries with a running minimum, O(grid
+lines) per column instead of O(grid pairs), and re-evaluates the few
+boxes within a rounding bound of the best directly, so its result is the
+same float as a direct maximum over all grid boxes.  The L2 engine builds
+its pair kernel in row blocks of about `_SLAB` entries.
 """
 
 from __future__ import annotations
@@ -142,23 +147,34 @@ class CellDecomposition:
         return table
 
 
-def _box_counts(prefix: np.ndarray, bounds: list[tuple[np.ndarray, np.ndarray]]):
-    """Weighted counts of a product of per-axis index ranges, in slabs.
+def _difference_rest(prefix: np.ndarray, rest_bounds: list[tuple[np.ndarray, np.ndarray]]):
+    """The prefix table differenced over axes 1.., flattened to 2-D.
 
-    bounds[j] = (lo, hi) lists the ranges of axis j: range i holds the
-    points with lo[i] <= pos[j] < hi[i] (lo <= hi).  The differences over
-    axes 1.. are taken once; then each slab of about _SLAB counts is one
-    gather and one subtract over axis 0.  Yields (rows, counts) with rows a
-    slice of axis-0 ranges and counts of shape (rows, ranges of axes 1..),
-    the latter flattened in C order; with d = 1 that product is empty.
+    rest_bounds[j - 1] = (lo, hi) lists the ranges of axis j >= 1: range i
+    holds the points with lo[i] <= pos[j] < hi[i] (lo <= hi).  Entry
+    [r, c] of the result is the weight of the points with pos[0] < r that
+    lie in range combination c of axes 1.., numbered in C order; with
+    d = 1 there is one combination.
     """
     table = prefix
-    for axis in range(1, prefix.ndim):
-        lo, hi = bounds[axis]
+    for axis, (lo, hi) in enumerate(rest_bounds, start=1):
         diff = np.take(table, hi, axis=axis)
         diff -= np.take(table, lo, axis=axis)
         table = diff
-    table = table.reshape(len(table), -1)
+    return table.reshape(len(table), -1)
+
+
+def _box_counts(prefix: np.ndarray, bounds: list[tuple[np.ndarray, np.ndarray]]):
+    """Weighted counts of a product of per-axis index ranges, in slabs.
+
+    bounds[j] = (lo, hi) lists the ranges of axis j, as in
+    `_difference_rest`.  The differences over axes 1.. are taken once; then
+    each slab of about _SLAB counts is one gather and one subtract over
+    axis 0.  Yields (rows, counts) with rows a slice of axis-0 ranges and
+    counts of shape (rows, ranges of axes 1..), the latter flattened in C
+    order.
+    """
+    table = _difference_rest(prefix, bounds[1:])
     lo, hi = bounds[0]
     step = max(1, _SLAB // table.shape[1])
     for start in range(0, len(lo), step):
@@ -228,6 +244,11 @@ def _interval_integrals(g: np.ndarray, s: np.ndarray, t: np.ndarray, p: int) -> 
     return integrals
 
 
+def _even_p_fits(cd: CellDecomposition, cell_budget: int) -> bool:
+    """Whether the cells `extreme_lp_exact_even_p` integrates fit `cell_budget`."""
+    return cd.interval_pair_count() <= cell_budget
+
+
 def extreme_lp_exact_even_p(
     ps: PointSet, ws: WeightSet, p: int, cell_budget: int = DEFAULT_CELL_BUDGET
 ) -> DiscrepancyResult:
@@ -249,10 +270,10 @@ def extreme_lp_exact_even_p(
             f"p = {p} needs {p + 1} terms per cell, over budget {cell_budget}; use extreme_lp_mc"
         )
     cd = CellDecomposition.from_points(ps)
-    ncells = cd.interval_pair_count()
-    if ncells > cell_budget:
+    if not _even_p_fits(cd, cell_budget):
         raise BudgetExceededError(
-            f"{ncells} cells exceed budget {cell_budget}; use extreme_lp_mc instead"
+            f"{cd.interval_pair_count()} cells exceed budget {cell_budget}; "
+            "use extreme_lp_mc instead"
         )
     # ordered interval pairs (s, t), s <= t, lexicographic on every axis
     pairs = [np.triu_indices(len(g) - 1) for g in cd.gammas]
@@ -289,37 +310,108 @@ def extreme_lp_exact_even_p(
 def extreme_linf_exact(
     ps: PointSet, ws: WeightSet, box_budget: int = DEFAULT_BOX_BUDGET
 ) -> DiscrepancyResult:
-    """Exact sup-norm discrepancy by enumerating breakpoint-grid boxes.
+    """Exact sup-norm discrepancy over the breakpoint-grid boxes.
 
     The supremum over all boxes of +-(count - volume) is attained in the
     limit at boxes whose closures have all faces on the per-axis grids, so
-    scanning every ordered grid pair (u, v) with closed counts
+    taking every ordered grid pair (u, v) with closed counts
     g_u <= x <= g_v (positive side) and open counts g_u < x < g_v
     (negative side: boxes shrink onto a cell closure from inside) is exact
-    for any real weights.
+    for any real weights.  `_linf_side` finds each side's maximum in
+    O(grid lines) per range of axes 1.. instead of O(grid pairs);
+    `box_budget` still caps the number of grid pairs.
     """
     _check_pair(ps, ws)
     _check_budget(box_budget)
     cd = CellDecomposition.from_points(ps)
     nboxes = cd.grid_pair_count()
     if nboxes > box_budget:
+        columns = math.prod(len(g) * (len(g) + 1) // 2 for g in cd.gammas[1:])
+        nbytes = 8 * (len(cd.gammas[0]) + 1) * columns
         raise BudgetExceededError(
-            f"{nboxes} boxes exceed budget {box_budget}; use extreme_linf_lower_mc instead"
+            f"{nboxes} boxes exceed budget {box_budget} (a {nbytes}-byte differenced "
+            "table); use extreme_linf_lower_mc instead"
         )
-    # ordered grid pairs (u, v), u <= v, lexicographic on every axis
-    pairs = [np.triu_indices(len(g)) for g in cd.gammas]
-    sides = [g[v] - g[u] for g, (u, v) in zip(cd.gammas, pairs)]
-    rest_side = np.ravel(reduce(np.multiply.outer, sides[1:], 1.0))
+    # ordered grid pairs (u, v), u <= v, lexicographic on axes 1..
+    pairs = [np.triu_indices(len(g)) for g in cd.gammas[1:]]
+    sides = [g[v] - g[u] for g, (u, v) in zip(cd.gammas[1:], pairs)]
+    rest_side = np.ravel(reduce(np.multiply.outer, sides, 1.0))
     prefix = cd.prefix_weights(ws.values)
     closed = [(u, v + 1) for u, v in pairs]
     # an open range with v <= u + 1 is empty: hi = max(v, u + 1) makes it so
     opened = [(u + 1, np.maximum(v, u + 1)) for u, v in pairs]
+    # 0.0 is the value of the open boxes with u = v on axis 0, which are
+    # empty, have volume 0 and are skipped by _linf_side
     best = 0.0
-    for sign, bounds in ((1.0, closed), (-1.0, opened)):
-        for rows, counts in _box_counts(prefix, bounds):
-            vol = sides[0][rows, None] * rest_side
-            best = max(best, float((sign * (counts - vol)).max()))
+    for sign, rest_bounds in ((1.0, closed), (-1.0, opened)):
+        best = max(best, _linf_side(prefix, rest_bounds, cd.gammas[0], rest_side, sign))
     return DiscrepancyResult(best, math.inf, Method.LINF_EXACT)
+
+
+def _linf_side(prefix, rest_bounds, g, rest_side, sign: float) -> float:
+    """Largest sign * (count - volume) over one side's grid boxes.
+
+    With T column c of the table differenced over axes 1.. and R its
+    side product, the value of axis-0 pair (u, v) splits as A[v] - B[u]:
+    closed (u <= v) A[v] = T[v+1] - g_v R, B[u] = T[u] - g_u R; open
+    (u < v) A[v] = g_v R - T[v], B[u] = g_u R - T[u+1].  A running minimum
+    of B gives M[v] = max over u of A[v] - B[u] in O(grid lines) per
+    column.  M is rounded differently from the direct box value
+    sign * ((T[hi] - T[lo]) - (g_v - g_u) R), but within tau of it, so the
+    argmax box is among the (v, c) with M >= (largest M so far) - 2 tau;
+    `_recheck_linf` evaluates those directly over every u, which makes the
+    result the same float as the largest direct value over all boxes.
+    """
+    # each entry of the table is a +- sum of 2^(d-1) prefix entries, so
+    # |T| <= big, and |g R| <= 1; the two roundings of a box value differ by
+    # at most (8 big + 9) eps, and tau leaves a factor 2 for the rest
+    big = 2.0 ** (prefix.ndim - 1) * max(float(prefix.max()), -float(prefix.min()))
+    tau = 16.0 * np.finfo(np.float64).eps * (big + 1.0)
+    table = _difference_rest(prefix, rest_bounds)
+    top = best = -math.inf
+    step = max(1, _SLAB // len(table))
+    for start in range(0, table.shape[1], step):
+        cols = slice(start, start + step)
+        t, r = table[:, cols], rest_side[cols]
+        gr = np.multiply.outer(g, r)
+        if sign > 0:
+            low, m = t[:-1] - gr, t[1:] - gr
+        else:
+            # row i of low is u = i and row i of m is v = i + 1
+            low, m = gr[:-1] - t[1:-1], gr[1:] - t[1:-1]
+        # a row loop: np.minimum.accumulate(axis=0) is about 10x slower
+        for i in range(1, len(low)):
+            np.minimum(low[i - 1], low[i], out=low[i])
+        m -= low
+        peak = float(m.max())
+        top = max(top, peak)
+        if peak >= top - 2.0 * tau:
+            v, c = np.nonzero(m >= top - 2.0 * tau)
+            if sign < 0:
+                v += 1
+            best = max(best, _recheck_linf(table, g, rest_side, sign, v, c + start))
+    return best
+
+
+def _recheck_linf(table, g, rest_side, sign: float, v, c) -> float:
+    """Largest direct value over u of the boxes (u, v[i], column c[i]).
+
+    The direct value is sign * ((T[hi] - T[lo]) - (g_v - g_u) R), as in
+    `_linf_side`; the candidates are evaluated in pieces of about _SLAB
+    boxes.
+    """
+    best = -math.inf
+    u = np.arange(len(g))
+    step = max(1, _SLAB // len(g))
+    for start in range(0, len(v), step):
+        vv, cc = v[start : start + step, None], c[start : start + step, None]
+        if sign > 0:
+            counts, keep = table[vv + 1, cc] - table[u, cc], u <= vv
+        else:
+            counts, keep = table[vv, cc] - table[u + 1, cc], u < vv
+        vals = sign * (counts - (g[vv] - g[u]) * rest_side[cc])
+        best = max(best, float(np.max(vals, where=keep, initial=-math.inf)))
+    return best
 
 
 # ---------------------------------------------------------------------------

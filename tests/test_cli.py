@@ -288,6 +288,17 @@ class TestDualityCheck:
         )
         assert code == 3 and "budget" in err
 
+    def test_even_p_norm_engine_follows_cell_count(self, tmp_path):
+        # p = 4 on vdc256x4 has 1.2e18 cells: the norm is sampled, not exit 3
+        for n, d, method in ((256, 4, "mc"), (64, 2, "even-exact")):
+            f = tmp_path / f"vdc{n}x{d}.csv"
+            assert run_cli("generate", "--kind", "vdc", "--n", n, "--d", d, "--out", f)[0] == 0
+            code, out, err = run_cli(
+                "duality-check", "--input", f, "--p", "4", "--samples", "70000", "--seed", "3"
+            )
+            assert code == 0, err
+            assert json.loads(out)["norm_method"] == method
+
     def test_zero_workers_exit_code(self, one_center):
         sampled = ("--input", one_center, "--p", "2", "--samples", "1000", "--seed", "1")
         assert run_cli("disc", *sampled, "--method", "mc", "--workers", "0")[0] == 2

@@ -23,6 +23,9 @@ from extdisc import (
     worst_case_1d,
     worst_case_nd,
 )
+from extdisc.dual import _NORM_STREAM_OFFSET
+from extdisc.engines import extreme_lp_exact_even_p, extreme_lp_mc
+from extdisc.generators import GeneratorKind, GeneratorSpec, generate
 
 P_GRID = [1.5, 2.0, 3.0, 5.0]
 
@@ -255,6 +258,17 @@ class TestDualityAudit:
         assert chk.norm_method == "even-exact"
         assert abs(chk.pairing_z) <= 3.5
         assert abs(chk.qnorm_z) <= 3.5
+
+    def test_even_p_norm_over_cell_budget_is_sampled(self):
+        # vdc256x4 has 1.2e18 cells at p = 4; vdc64x2 has 4.5e6, within budget
+        ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, 256, 4))
+        chk = duality_gap_mc(ps, ws, 4.0, 70_000, seed=3)
+        assert chk.norm_method == "mc"
+        assert chk.norm == extreme_lp_mc(ps, ws, 4.0, 70_000, seed=3 + _NORM_STREAM_OFFSET).value
+        ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, 64, 2))
+        chk = duality_gap_mc(ps, ws, 4, 1000, seed=3)
+        assert chk.norm_method == "even-exact"
+        assert chk.norm == extreme_lp_exact_even_p(ps, ws, 4).value
 
     def test_mc_norm_path_uses_disjoint_streams(self):
         ps = PointSet([[0.3], [0.8]])

@@ -124,6 +124,39 @@ def reference_linf(ps, ws):
     return best
 
 
+def reference_slab_linf(ps, ws):
+    """Sup-norm value from every grid box, axis 0 differenced in slabs.
+
+    This is the engine's previous scan: per side, the prefix table is
+    differenced over axes 1.., and every ordered axis-0 pair (u, v) is
+    evaluated as sign * (counts - (g_v - g_u) R), O(grid pairs) per column.
+    """
+    cd = CellDecomposition.from_points(ps)
+    pairs = [np.triu_indices(len(g)) for g in cd.gammas]
+    sides = [g[v] - g[u] for g, (u, v) in zip(cd.gammas, pairs)]
+    rest_side = np.ravel(reduce(np.multiply.outer, sides[1:], 1.0))
+    prefix = cd.prefix_weights(ws.values)
+    closed = [(u, v + 1) for u, v in pairs]
+    opened = [(u + 1, np.maximum(v, u + 1)) for u, v in pairs]
+    best = 0.0
+    for sign, bounds in ((1.0, closed), (-1.0, opened)):
+        table = prefix
+        for axis in range(1, prefix.ndim):
+            lo, hi = bounds[axis]
+            diff = np.take(table, hi, axis=axis)
+            diff -= np.take(table, lo, axis=axis)
+            table = diff
+        table = table.reshape(len(table), -1)
+        lo, hi = bounds[0]
+        step = max(1, (1 << 16) // table.shape[1])
+        for start in range(0, len(lo), step):
+            rows = slice(start, start + step)
+            counts = table[hi[rows]] - table[lo[rows]]
+            vol = sides[0][rows, None] * rest_side
+            best = max(best, float((sign * (counts - vol)).max()))
+    return best
+
+
 def vdc_1d(n):
     return generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, n, 1))
 
@@ -323,6 +356,63 @@ def test_exact_engines_match_membership_reference(n, d, grid, shared, dyadic, se
             assert abs(got**p - want**p) <= 1e-12 * scale**p
 
 
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_linf_matches_slab_reference_bit_for_bit(data, seed):
+    # the running-minimum scan re-evaluates its candidates with the slab
+    # engine's arithmetic, so the two agree exactly for any weights
+    d = data.draw(st.integers(1, 3), label="d")
+    n = data.draw(st.integers(0, 40 if d < 3 else 14), label="n")
+    grid = data.draw(st.sampled_from([2, 4, 10, 97, 1 << 30]), label="grid")
+    kind = data.draw(st.sampled_from(["dyadic", "gaussian", "signed", "equal"]), label="kind")
+    repeat = data.draw(st.sampled_from(["none", "shared", "duplicated"]), label="repeat")
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, grid, (n, d)) / grid
+    if n >= 2 and repeat == "shared":
+        coords[-1, 1:] = coords[0, 1:]
+    elif n >= 2 and repeat == "duplicated":
+        coords[n // 2 :] = coords[: n - n // 2]
+    weights = {
+        "dyadic": lambda: rng.integers(-64, 65, n) / 64.0,
+        "gaussian": lambda: rng.standard_normal(n) / math.sqrt(max(n, 1)),
+        "signed": lambda: (1.0 + 0.5 * rng.standard_normal(n)) / max(n, 1),
+        "equal": lambda: np.full(n, 1.0 / max(n, 1)),
+    }[kind]()
+    ps, ws = PointSet(coords.reshape(n, d)), WeightSet(weights, classify_weights(weights))
+    assert extreme_linf_exact(ps, ws).value == reference_slab_linf(ps, ws)
+
+
+# float.hex of extreme_linf_exact as the slab scan computed it.  signed60x2
+# has negative weights.  In tenths25x1 the closed boxes [0.2, 0.3] and
+# [0.2, 0.9] both have value 0.22; the second one's direct value is 1 ulp
+# larger and its running-minimum value 1 ulp smaller, so a scan that
+# re-evaluated only its own maximum (tau = 0) would return 1 ulp too little.
+PINNED_LINF = {
+    "vdc100x2": "0x1.6d70a3d70a410p-5",
+    "vdc20x3": "0x1.1555555555558p-2",
+    "vdc64x2": "0x1.1700000000000p-4",
+    "vdc10x4": "0x1.e353f7ced9169p-2",
+    "signed60x2": "0x1.d92e2d2470fc6p-3",
+    "tenths25x1": "0x1.c28f5c28f5c2cp-3",
+}
+
+
+@pytest.mark.parametrize("rule", sorted(PINNED_LINF))
+def test_linf_outputs_are_pinned(rule):
+    if rule.startswith("vdc"):
+        n, d = map(int, rule[3:].split("x"))
+        ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, n, d))
+    elif rule == "signed60x2":
+        ps, ws = signed_rule(60, 2, seed=3)
+    else:
+        lines = [0.0, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        ps = PointSet(np.repeat(lines, [2, 5, 3, 2, 2, 2, 3, 3, 3])[:, None])
+        ws = WeightSet(np.full(25, 0.04), WeightKind.NONNEG)
+    got = extreme_linf_exact(ps, ws).value
+    assert got.hex() == PINNED_LINF[rule]
+    assert got == reference_slab_linf(ps, ws)
+
+
 @pytest.mark.parametrize("n, p", [(16, 2), (16, 4), (32, 2), (32, 4), (64, 2), (64, 4), (512, 2)])
 def test_even_p_matches_rational_oracle(n, p):
     ps, ws = vdc_1d(n)
@@ -331,16 +421,20 @@ def test_even_p_matches_rational_oracle(n, p):
 
 
 @pytest.mark.parametrize(
-    "engine, n, d",
+    "engine, n, d, mib",
     [
-        (extreme_l2_exact, 4096, 8),
-        (lambda ps, ws: extreme_lp_exact_even_p(ps, ws, 2), 512, 1),
+        (extreme_l2_exact, 4096, 8, 64),
+        (lambda ps, ws: extreme_lp_exact_even_p(ps, ws, 2), 512, 1, 64),
+        (extreme_linf_exact, 100, 2, 11),
+        (extreme_linf_exact, 20, 3, 24),
     ],
-    ids=["l2-4096x8", "even2-512x1"],
+    ids=["l2-4096x8", "even2-512x1", "linf-100x2", "linf-20x3"],
 )
-def test_exact_memory_is_bounded(engine, n, d):
+def test_exact_memory_is_bounded(engine, n, d, mib):
     # dense forms need an n x n kernel (128 MiB per array at n = 4096) or a
-    # (cells x n) membership matrix (540 MB at n = 512, d = 1)
+    # (cells x n) membership matrix (540 MB at n = 512, d = 1); the sup norm
+    # holds its differenced table (4 MiB at 100x2, 9 MiB at 20x3) and must
+    # not add a second one, e.g. a full (grid lines x columns) temporary
     ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, n, d))
     tracemalloc.start()
     try:
@@ -348,7 +442,7 @@ def test_exact_memory_is_bounded(engine, n, d):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 64 << 20
+    assert peak <= mib << 20
 
 
 def signed_rule(n, d, seed):
@@ -456,6 +550,9 @@ class TestGuards:
         with pytest.raises(BudgetExceededError, match="extreme_lp_mc"):
             extreme_lp_exact_even_p(ps, ws, 2, cell_budget=100)
         with pytest.raises(BudgetExceededError, match="extreme_linf_lower_mc"):
+            extreme_linf_exact(ps, ws, box_budget=100)
+        # 32 grid lines per axis: the table has 33 rows of 528 columns
+        with pytest.raises(BudgetExceededError, match="a 139392-byte differenced table"):
             extreme_linf_exact(ps, ws, box_budget=100)
 
     def test_huge_even_p_exceeds_budget(self):
