@@ -7,7 +7,7 @@ Conventions used throughout the package:
   [a, b); membership is a_j <= x_j < b_j in every coordinate.
 * The collection of box pairs is a subset of [0,1]^{2d} with Lebesgue mass
   2^-d.  It is deliberately left unnormalized: an integral over it equals
-  2^-d times the expectation under the triangle sampler `sample_box_pair`.
+  2^-d times the expectation under the triangle sampler `sample_box_pairs`.
 * All floating point work is binary64.
 
 Box membership for batches of boxes runs on per-axis rank tables: within a
@@ -405,20 +405,16 @@ def sample_box_pairs(rng, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(u[0], u[1]), np.maximum(u[0], u[1])
 
 
-def sample_box_pair(rng, d: int) -> BoxPair:
-    lo, hi = sample_box_pairs(rng, 1, d)
-    return BoxPair(lo[0], hi[0])
-
-
 # ---------------------------------------------------------------------------
 # CSV point file format
 #
 # Lines starting with '#' are comments.  An optional header row must read
-# x1,...,xd or x1,...,xd,weight.  Without a header every column is a
-# coordinate and the rule is an equal-weight (QMC) rule; a weight column is
-# recognized only through the header.  Numbers, in the header test too, go
-# through numpy's text reader: ASCII, no digit underscores, and bit exact
-# for repr output.  Errors name the line and column.
+# x1,...,xd or x1,...,xd,weight; the first line is a header when its first
+# field is not a number.  Without a header every column is a coordinate and
+# the rule is an equal-weight (QMC) rule; a weight column is recognized only
+# through the header.  Numbers, in the header test too, go through numpy's
+# text reader: ASCII, no digit underscores, and bit exact for repr output.
+# Errors name the line and column.
 
 _HEADER_COORD = re.compile(r"x(\d+)$")
 
@@ -459,6 +455,10 @@ def _loadtxt(lines: list[str]) -> np.ndarray | None:
         return None
 
 
+def _not_number(field: str) -> bool:
+    return not field or _loadtxt([field]) is None
+
+
 def _parse_rows(lines: list[str], linenos: list[int], width: int, d: int) -> np.ndarray:
     """Parse data rows in one call; on failure, halve to the first bad row."""
     table = _loadtxt(lines)
@@ -476,7 +476,7 @@ def _parse_rows(lines: list[str], linenos: list[int], width: int, d: int) -> np.
     fields = _split(lines[0])
     if len(fields) != width:
         raise InvalidInputError(f"line {linenos[0]}: expected {width} fields, found {len(fields)}")
-    c = next(c for c, f in enumerate(fields) if not f or _loadtxt([f]) is None)
+    c = next(c for c, f in enumerate(fields) if _not_number(f))
     if c:  # a coordinate out of range before the bad field is reported first
         _parse_rows([",".join(fields[:c])], linenos, c, min(c, d))
     raise InvalidInputError(f"line {linenos[0]}, column {c + 1}: {fields[c]!r} is not a number")
@@ -493,7 +493,7 @@ def load_points(path: str | Path, d: int | None = None) -> tuple[PointSet, Weigh
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if not lines and header is None and _loadtxt([line]) is None:
+        if not lines and header is None and _not_number(_split(line)[0]):
             header = _parse_header(_split(line), lineno)
             continue
         lines.append(line)

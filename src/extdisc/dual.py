@@ -34,9 +34,7 @@ from .engines import (
     _accepts,
     _check_sampling,
     _even_p_fits,
-    _mean_stderr,
-    _sample,
-    _sums,
+    _lp_moment,
     extreme_l2_exact,
     extreme_lp_exact_even_p,
     extreme_lp_mc,
@@ -46,12 +44,12 @@ from .engines import (
 def conjugate_exponent(p: float) -> float:
     """Hölder conjugate q with 1/p + 1/q = 1; maps 1 <-> inf."""
     p = float(p)
-    if math.isinf(p):
+    if not p >= 1.0:  # NaN and -inf included
+        raise InvalidInputError("exponent must satisfy p >= 1")
+    if p == math.inf:
         return 1.0
     if p == 1.0:
         return math.inf
-    if p < 1.0:
-        raise InvalidInputError("exponent must satisfy p >= 1")
     return p / (p - 1.0)
 
 
@@ -76,7 +74,7 @@ def initial_error(p: float, d: int) -> float:
     if d < 1:
         raise InvalidInputError("dimension must be at least 1")
     p = float(p)
-    if math.isinf(p):
+    if p == math.inf:
         return 1.0
     _check_finite_p(p)
     return ((p + 1.0) * (p + 2.0)) ** (-d / p)
@@ -94,14 +92,6 @@ def worst_case_1d(p: float, x):
         raise InvalidInputError("arguments must lie in [0, 1]")
     v = _profile_scale(p) * (1.0 - x ** (p + 1.0) - (1.0 - x) ** (p + 1.0))
     return float(v) if v.ndim == 0 else v
-
-
-def worst_case_nd(p: float, x) -> float:
-    """Product-form d-dim worst-case integrand at one point x in [0,1]^d."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise InvalidInputError("x must be a 1-d coordinate vector")
-    return float(np.prod(worst_case_1d(p, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +230,10 @@ class DualityCheck:
 
     pairing estimates the integral of c* times the local discrepancy and
     should match norm; qnorm_pow estimates the q-th power of the conjugate
-    norm of c* and should match 1.  z-scores use the sample stderr.
+    norm of c* and should match 1.  Pointwise c* delta = |delta|^p /
+    norm^(p-1) and |c*|^q = |delta|^p / norm^p, so both are the one sampled
+    integral of |delta|^p, scaled: qnorm_pow is pairing / norm and the two
+    z-scores are equal.  z-scores use the sample stderr.
     """
 
     p: float
@@ -249,10 +242,16 @@ class DualityCheck:
     norm_method: str
     pairing: float
     pairing_stderr: float
-    qnorm_pow: float
-    qnorm_stderr: float
     samples: int
     seed: int
+
+    @property
+    def qnorm_pow(self) -> float:
+        return self.pairing / self.norm
+
+    @property
+    def qnorm_stderr(self) -> float:
+        return self.pairing_stderr / self.norm
 
     @property
     def pairing_z(self) -> float:
@@ -260,7 +259,7 @@ class DualityCheck:
 
     @property
     def qnorm_z(self) -> float:
-        return _zscore(self.qnorm_pow, 1.0, self.qnorm_stderr)
+        return self.pairing_z
 
 
 def _zscore(est: float, target: float, se: float) -> float:
@@ -287,9 +286,9 @@ def duality_gap_mc(
     The norm is computed exactly when p is 2, or an even integer whose
     cell count fits `DEFAULT_CELL_BUDGET`, and by an independent Monte
     Carlo stream otherwise; `norm_method` names the engine that ran.  The
-    pairing and the conjugate-norm power then come from fresh sampled
-    boxes; both have known targets (norm and 1), reported with delta-free
-    z-scores.
+    pairing then comes from fresh sampled boxes: it is the L_p sampler's
+    integral of |delta|^p at `seed`, over norm^(p-1).  Its target is norm,
+    reported with a delta-free z-score.
     """
     p = _check_finite_p(p)
     if p == 1.0:
@@ -306,25 +305,15 @@ def duality_gap_mc(
     norm = res.value
     if norm <= 0.0:
         raise InvalidInputError("rule has zero discrepancy, nothing to audit")
-    q = conjugate_exponent(p)
-
-    def per_chunk(delta: np.ndarray):
-        cstar = representer_value(p, delta, norm)
-        return _sums(cstar * delta), _sums(np.abs(cstar) ** q)
-
-    sums = _sample(ps, ws, samples, seed, workers, per_chunk)
-    scale = 2.0**-ps.d
-    pairing, pairing_se = _mean_stderr([s[0] for s in sums], samples)
-    qnorm, qnorm_se = _mean_stderr([s[1] for s in sums], samples)
+    moment, moment_se = _lp_moment(ps, ws, p, samples, seed, workers)
+    pairing_scale = norm ** (p - 1.0)
     return DualityCheck(
         p=p,
-        q=q,
+        q=conjugate_exponent(p),
         norm=norm,
         norm_method=res.method.value,
-        pairing=scale * pairing,
-        pairing_stderr=scale * pairing_se,
-        qnorm_pow=scale * qnorm,
-        qnorm_stderr=scale * qnorm_se,
+        pairing=moment / pairing_scale,
+        pairing_stderr=moment_se / pairing_scale,
         samples=samples,
         seed=seed,
     )

@@ -11,7 +11,9 @@ Carlo.  The sup norm has an exact grid enumeration and a sampled hard
 lower bound.  One table, `_EXPONENT_RULES`, holds the exponents each
 `Method` accepts, for the engines and the CLI alike.  Every sampler,
 `dual.duality_gap_mc` included, runs on one chunked core, `_sample`, and
-reduces its per-chunk sums in chunk order with `_mean_stderr`.
+reduces its per-chunk sums in chunk order with `_mean_stderr`; the L_p
+sampler and the duality audit share one statistic, the sampled integral
+of |delta|^p (`_lp_moment`).
 
 The grid engines never build a point-by-box membership matrix: every
 weighted count is a difference of one cumulative weighted histogram over
@@ -458,6 +460,20 @@ def _mean_stderr(sums: list[tuple[float, float]], samples: int) -> tuple[float, 
     return total / samples, math.sqrt(var / samples)
 
 
+def _lp_moment(
+    ps: PointSet, ws: WeightSet, p: float, samples: int, seed: int, workers: int
+) -> tuple[float, float]:
+    """Sampled integral of |delta|^p over the box pairs, and its stderr.
+
+    Both are 2^-d times the sample mean and its stderr; a power-of-two
+    scale is exact, so where it is applied does not change a bit.
+    """
+    sums = _sample(ps, ws, samples, seed, workers, lambda delta: _sums(np.abs(delta) ** p))
+    mean, se_mean = _mean_stderr(sums, samples)
+    scale = 2.0**-ps.d
+    return scale * mean, scale * se_mean
+
+
 def extreme_lp_mc(
     ps: PointSet,
     ws: WeightSet,
@@ -476,18 +492,15 @@ def extreme_lp_mc(
     p = float(p)
     _check_exponent(Method.MC, p)
     _check_sampling(ps, ws, samples, workers, least=2)
-    sums = _sample(ps, ws, samples, seed, workers, lambda delta: _sums(np.abs(delta) ** p))
-    mean, se_mean = _mean_stderr(sums, samples)
-    scale = 2.0**-ps.d
-    raw = scale * mean
+    raw, se_raw = _lp_moment(ps, ws, p, samples, seed, workers)
     if raw > 0.0:
         value = raw ** (1.0 / p)
-        stderr = (1.0 / p) * raw ** (1.0 / p - 1.0) * scale * se_mean
+        stderr = (1.0 / p) * raw ** (1.0 / p - 1.0) * se_raw
     else:
         # degenerate sample: report the raw-mean stderr, the delta method
         # has no finite slope at zero
         value = 0.0
-        stderr = scale * se_mean
+        stderr = se_raw
     return DiscrepancyResult(value, p, Method.MC, stderr=stderr, samples=samples, seed=seed)
 
 

@@ -23,7 +23,6 @@ from extdisc import (
     extreme_lp_mc,
     load_points,
     local_discrepancy,
-    sample_box_pair,
     sample_box_pairs,
     save_points,
     substream,
@@ -264,8 +263,9 @@ class TestSampler:
             def random(self, shape):
                 return np.full(shape, 0.5)
 
-        b = sample_box_pair(Fixed(), 4)
-        assert np.all(b.lower == 0.5) and np.all(b.upper == 0.5)
+        lo, hi = sample_box_pairs(Fixed(), 1, 4)
+        assert lo.shape == hi.shape == (1, 4)
+        assert np.all(lo == 0.5) and np.all(hi == 0.5)
 
     def test_substream_determinism(self):
         a = substream(7, 3).random(5)
@@ -357,7 +357,7 @@ def reference_load_points(path, d=None):
             if not line or line.startswith("#"):
                 continue
             fields = _split(line)
-            if not seen_data and header is None and any(not is_float(f) for f in fields):
+            if not seen_data and header is None and not is_float(fields[0]):
                 header = _parse_header(fields, lineno)
                 continue
             seen_data = True
@@ -585,14 +585,14 @@ class TestPointFiles:
             assert isinstance(got, str) and got == load_outcome(reference_load_points, f)
 
     def test_digit_underscores_are_not_numbers(self, tmp_path):
-        # float() reads 1_0 as 10.0; numpy's reader rejects it, in data rows
-        # and in the header test alike
+        # float() reads 1_0 as 10.0; numpy's reader rejects it.  A first line
+        # whose first field is a number is data, so its bad field is named
         f = tmp_path / "u.csv"
         f.write_text("x1,x2\n0.5,0.25\n0.5,1_0\n")
         with pytest.raises(InvalidInputError, match=r"line 3, column 2: '1_0' is not a number"):
             load_points(f)
         f.write_text("0.5,1_0\n0.5,0.25\n")
-        with pytest.raises(InvalidInputError, match=r"line 1: header column 1 is '0.5'"):
+        with pytest.raises(InvalidInputError, match=r"line 1, column 2: '1_0' is not a number"):
             load_points(f)
 
     def test_writer_matches_reference(self, tmp_path):

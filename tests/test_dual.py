@@ -21,10 +21,9 @@ from extdisc import (
     spline_integral,
     spline_norm,
     worst_case_1d,
-    worst_case_nd,
 )
 from extdisc.dual import _NORM_STREAM_OFFSET
-from extdisc.engines import extreme_lp_exact_even_p, extreme_lp_mc
+from extdisc.engines import _lp_moment, extreme_lp_exact_even_p, extreme_lp_mc
 from extdisc.generators import GeneratorKind, GeneratorSpec, generate
 
 P_GRID = [1.5, 2.0, 3.0, 5.0]
@@ -56,6 +55,12 @@ class TestConjugate:
         with pytest.raises(InvalidInputError):
             conjugate_exponent(0.9)
 
+    @pytest.mark.parametrize("p", [math.nan, -math.inf, -1.0])
+    def test_nan_and_minus_inf_rejected(self, p):
+        # -inf is infinite but not the p = inf of the 1 <-> inf pair
+        with pytest.raises(InvalidInputError):
+            conjugate_exponent(p)
+
 
 class TestWorstCase:
     def test_hand_values(self):
@@ -77,12 +82,6 @@ class TestWorstCase:
             assert np.argmax(vals) == 500
             assert np.all(vals <= vals[500] + 1e-15)
 
-    def test_product_form(self):
-        assert worst_case_nd(2.0, [0.5, 0.5]) == pytest.approx(3.0 / 16.0, abs=1e-15)
-        v = worst_case_nd(3.0, [0.2, 0.7, 0.5])
-        expect = worst_case_1d(3.0, 0.2) * worst_case_1d(3.0, 0.7) * worst_case_1d(3.0, 0.5)
-        assert v == pytest.approx(expect, abs=1e-15)
-
     @pytest.mark.parametrize("p", P_GRID)
     def test_integral_equals_initial_error(self, p):
         # the zero algorithm errs on the worst-case integrand by exactly
@@ -103,6 +102,11 @@ class TestWorstCase:
             initial_error(2.0, 0)
         with pytest.raises(InvalidInputError):
             worst_case_1d(math.inf, 0.5)
+
+    @pytest.mark.parametrize("p", [math.nan, -math.inf, 0.5])
+    def test_initial_error_rejects_p_outside_domain(self, p):
+        with pytest.raises(InvalidInputError):
+            initial_error(p, 2)
 
 
 class TestSpline:
@@ -275,6 +279,27 @@ class TestDualityAudit:
         chk = duality_gap_mc(ps, equal_weights(2), 2.5, 100_000, seed=6)
         assert chk.norm_method == "mc"
         assert abs(chk.pairing_z) <= 4.0
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, 4.0])
+    def test_one_sampled_integral(self, p):
+        # pointwise c* delta = |delta|^p / norm^(p-1) and |c*|^q = |delta|^p / norm^p:
+        # the audit reports the L_p sampler's integral of |delta|^p, scaled
+        ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, 16, 2))
+        chk = duality_gap_mc(ps, ws, p, 70_000, seed=4)
+        moment, moment_se = _lp_moment(ps, ws, p, 70_000, 4, 1)
+        assert chk.pairing == moment / chk.norm ** (p - 1.0)
+        assert chk.pairing_stderr == moment_se / chk.norm ** (p - 1.0)
+        assert extreme_lp_mc(ps, ws, p, 70_000, seed=4).value == moment ** (1.0 / p)
+        assert chk.qnorm_pow == chk.pairing / chk.norm
+        assert chk.qnorm_stderr == chk.pairing_stderr / chk.norm
+        assert chk.qnorm_z == chk.pairing_z
+
+    def test_z_scores_agree_near_p_one(self):
+        # q = 1e11 here: a separate |c*|^q statistic would amplify rounding
+        # by q, and its z would drift from the pairing's
+        chk = duality_gap_mc(PointSet([[0.5, 0.5]]), equal_weights(1), 1.00000000001, 100_000, 1)
+        assert chk.qnorm_z == chk.pairing_z
+        assert abs(chk.pairing_z) <= 3.0
 
     def test_worker_neutral(self):
         ps = PointSet([[0.4, 0.6]])
