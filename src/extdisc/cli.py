@@ -31,6 +31,7 @@ from .bounds import (
     nw10_l2_lower,
 )
 from .core import (
+    _RANDOMIZED,
     BudgetExceededError,
     InvalidInputError,
     Method,
@@ -106,7 +107,7 @@ def cmd_disc(args) -> int:
     method = Method(args.method)
     p = _resolve_p(args, default=_IMPLIED_P.get(method))
     _check_exponent(method, p)
-    if method in (Method.MC, Method.LINF_SAMPLED):
+    if method in _RANDOMIZED:
         _need_sampling(args)
     # without --budget the exact engines keep their default budgets
     budget = () if args.budget is None else (args.budget,)

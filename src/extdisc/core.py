@@ -11,15 +11,14 @@ Conventions used throughout the package:
 * All floating point work is binary64.
 
 Box membership for batches of boxes runs on per-axis rank tables: within a
-block of at most `_BLOCK` points, the points below rank r on axis j form a
-prefix bitset P_j[r], so the points inside [lower, upper) are the AND over
-the axes of P_j[rank(upper_j)] ^ P_j[rank(lower_j)].  Ranks are gathers
-from a bucket table over a dyadic grid of the axis's distinct coordinates,
-exact for every finite anchor, plus a short scan inside one bucket; an
-axis with more than `_MAX_SCAN` coordinates in one bucket uses binary
-search.  Weighted counts of a bitset read an 8-bit table of partial weight
-sums per byte.  Queries are tiled over boxes, so the temporaries of one
-call stay bounded for any n.
+block of at most `_BLOCK` points, the points below the r-th distinct
+coordinate on axis j form a prefix bitset P_j[r], so the points inside
+[lower, upper) are the AND over the axes of P_j[rank(upper_j)] ^
+P_j[rank(lower_j)], with ranks among the distinct coordinates.  Ranks are
+gathers from a bucket table over a dyadic grid, exact for every finite
+anchor, plus a branchless binary search inside one bucket.  Weighted counts
+of a bitset read an 8-bit table of partial weight sums per byte.  Queries
+are tiled over boxes, so the temporaries of one call stay bounded for any n.
 """
 
 from __future__ import annotations
@@ -37,20 +36,15 @@ import numpy as np
 # in index order, so results do not depend on how chunks are scheduled.
 CHUNK = 1 << 16
 
-# Points per bitset block of the membership kernel.  A block's tables take
-# d * (_BLOCK + 1) * _BLOCK / 8 bytes, 16 MiB at d = 8.
+# Points per bitset block of the membership kernel.  A block's bitsets take
+# (L + 1) * _BLOCK / 8 bytes on an axis with L distinct coordinates, at most
+# 16 MiB at d = 8.
 _BLOCK = 4096
 
 # Bytes of float64 weight lookups per query tile.  Their int64 index array
 # is as large and the tile's other temporaries are smaller, so this and one
 # block's tables cap the kernel's working memory per call for any n.
 _TILE_BYTES = 1 << 21
-
-# Most distinct coordinates one bucket of an axis's rank table may hold.
-# The bucket scan takes one step per value and costs about as much as a
-# binary search at 16 steps, so an axis with a denser bucket, such as a
-# cluster of points closer than 1/K, keeps the binary search.
-_MAX_SCAN = 16
 
 # Packed bitsets are little-endian uint64 words, so byte k of a bitset
 # holds points 8k..8k+7 on any host.
@@ -292,36 +286,31 @@ def local_discrepancy_batch(
     return counts - np.prod(upper - lower, axis=1)
 
 
-def _rank_table(axis_sorted: np.ndarray):
-    """Bucket table giving searchsorted(axis_sorted, x, "left") by gathers.
+def _rank_table(distinct: np.ndarray):
+    """Bucket table giving searchsorted(distinct, x, "left") by gathers.
 
-    The distinct values u of the sorted axis fall into K = 2^(ceil(log2
-    len(u)) + 3) buckets [k/K, (k+1)/K), and base[k] counts the u below
-    k/K.  For a finite query x and k = clip(x K, 0, K), every u below k/K
-    is below x and every u of a later bucket is above it, so the rank of x
-    among the u is base[k] plus the u of bucket k below x, found by a
-    linear scan of `scan` steps; first[r] maps a rank among the u to one
-    in the sorted axis.  K is a power of two, so x K and k/K are exact.
-    Returns None when some bucket holds more than _MAX_SCAN values.
+    The sorted distinct values u fall into K = 2^(ceil(log2 len(u)) + 3)
+    buckets [k/K, (k+1)/K), and base[k] counts the u below k/K.  For a
+    finite query x and k = clip(x K, 0, K), every u below k/K is below x
+    and every u of a later bucket is at least (k+1)/K > x, so the rank of x
+    is base[k] plus the u of bucket k below x, found by a binary search of
+    `steps` halvings, enough for the fullest bucket.  K is a power of two,
+    so x K and k/K are exact.
     """
-    distinct, first = np.unique(axis_sorted, return_index=True)
     buckets = 1 << ((len(distinct) - 1).bit_length() + 3)
     base = np.searchsorted(distinct, np.arange(buckets + 1) / buckets, "left")
-    scan = int(np.diff(base).max())
-    if scan > _MAX_SCAN:
-        return None
-    return buckets, base, np.append(distinct, np.inf), np.append(first, len(axis_sorted)), scan
+    steps = int(np.diff(base).max()).bit_length()
+    return buckets, base, np.append(distinct, np.full(1 << steps, np.inf)), steps
 
 
-def _ranks(axis_sorted: np.ndarray, table, x: np.ndarray) -> np.ndarray:
-    """searchsorted(axis_sorted, x, "left") for finite x, via `_rank_table`."""
-    if table is None:
-        return np.searchsorted(axis_sorted, x, "left")
-    buckets, base, padded, first, scan = table
-    r = base.take(np.clip(x * buckets, 0, buckets).astype(np.intp))
-    for _ in range(scan):
-        r += padded.take(r) < x
-    return first.take(r)
+def _ranks(table, x: np.ndarray) -> np.ndarray:
+    """searchsorted(distinct, x, "left") for finite x, via `_rank_table`."""
+    buckets, base, padded, steps = table
+    r = base.take((np.clip(x, 0.0, 1.0) * buckets).astype(np.intp))
+    for s in reversed(range(steps)):
+        # padded[r : r + 2^s] is sorted, so it is all below x iff its last is
+        r += (padded[(1 << s) - 1 :].take(r) < x) << s
+    return r
 
 
 def _block_counts(
@@ -330,15 +319,20 @@ def _block_counts(
     """Weighted counts of one block of points in each box [lower, upper)."""
     b, d = coords.shape
     words = -(-b // 64)
-    # prefix[j, r]: bitset of the points whose rank on axis j is below r
-    prefix = np.zeros((d, b + 1, words), dtype=_WORD)
-    axis_sorted = np.empty((d, b))
+    point = np.arange(b)
+    axes = []
     for j in range(d):
-        order = np.argsort(coords[:, j], kind="stable")
-        axis_sorted[j] = coords[order, j]
-        prefix[j, np.arange(1, b + 1), order >> 6] = _BIT[order & 63]
-        np.bitwise_or.accumulate(prefix[j], axis=0, out=prefix[j])
-    rank_tables = [_rank_table(s) for s in axis_sorted]
+        distinct, inverse = np.unique(coords[:, j], return_inverse=True)
+        # prefix[r]: bitset of the points below the r-th distinct coordinate
+        prefix = np.zeros((len(distinct) + 1, words), dtype=_WORD)
+        cell, bits = (inverse + 1, point >> 6), _BIT[point & 63]
+        # points of one row and word collide in the store, and ufunc.at ORs
+        # them all in; the store first writes the fresh pages, which ufunc.at
+        # alone would fault in twice, once to read and once to write
+        prefix[cell] = bits
+        np.bitwise_or.at(prefix, cell, bits)
+        np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+        axes.append((prefix, _rank_table(distinct)))
     # table[k, v]: sum of the weights of points 8k + i over the set bits i of v
     bytes_per_set = 8 * words
     padded = np.zeros(8 * bytes_per_set)
@@ -359,12 +353,12 @@ def _block_counts(
         lo = lower[start : start + rows]
         hi = upper[start : start + rows]
         inside = None
-        for j in range(d):
+        for j, (prefix, rank_table) in enumerate(axes):
             # lo_j <= x < hi_j is the rank interval [rank(lo_j), rank(hi_j))
-            r_lo, r_hi = _ranks(axis_sorted[j], rank_tables[j], np.stack((lo[:, j], hi[:, j])))
+            r_lo, r_hi = _ranks(rank_table, np.stack((lo[:, j], hi[:, j])))
             np.maximum(r_hi, r_lo, out=r_hi)  # lo > hi holds no point
-            axis_in = prefix[j].take(r_hi, axis=0)
-            axis_in ^= prefix[j].take(r_lo, axis=0)
+            axis_in = prefix.take(r_hi, axis=0)
+            axis_in ^= prefix.take(r_lo, axis=0)
             if inside is None:
                 inside = axis_in
             else:

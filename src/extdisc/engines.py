@@ -30,6 +30,7 @@ its pair kernel in row blocks of about `_SLAB` entries.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -433,7 +434,9 @@ def _sample(ps: PointSet, ws: WeightSet, samples: int, seed: int, workers: int, 
 
     Chunk i holds CHUNK boxes, the last one the remainder, drawn from
     substream(seed, i), so the list does not depend on the worker count.
-    Callers check their arguments with _check_sampling first.
+    Each thread holds one chunk's boxes and kernel temporaries, so the pool
+    never outnumbers the chunks or the CPUs.  Callers check their arguments
+    with _check_sampling first.
     """
     full, rem = divmod(samples, CHUNK)
     sizes = [CHUNK] * full + ([rem] if rem else [])
@@ -442,7 +445,8 @@ def _sample(ps: PointSet, ws: WeightSet, samples: int, seed: int, workers: int, 
         lo, hi = sample_box_pairs(substream(seed, i), sizes[i], ps.d)
         return per_chunk(local_discrepancy_batch(ps.coords, ws.values, lo, hi))
 
-    if workers == 1 or len(sizes) == 1:
+    workers = min(workers, len(sizes), os.cpu_count() or 1)
+    if workers == 1:
         return [run_chunk(i) for i in range(len(sizes))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_chunk, range(len(sizes))))

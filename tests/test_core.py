@@ -28,10 +28,9 @@ from extdisc import (
     substream,
 )
 from extdisc.core import (
-    _BLOCK,
-    _MAX_SCAN,
     _parse_header,
     _rank_table,
+    _ranks,
     _split,
     local_discrepancy_batch,
     points_csv,
@@ -182,9 +181,6 @@ def test_batch_kernel_matches_definition(n, d, grid, dyadic, seed):
         coords = rng.integers(0, grid, (n, d)) / grid
     else:
         coords = 0.3 + rng.integers(0, n, (n, d)) * 1e-12
-        block = np.sort(coords[:_BLOCK], axis=0)
-        if len(np.unique(block[:, 0])) > _MAX_SCAN:
-            assert _rank_table(block[:, 0]) is None  # binary search fallback
     if dyadic:
         weights = rng.integers(-64, 65, n) / 64.0
     else:
@@ -229,11 +225,43 @@ def test_batch_kernel_matches_definition(n, d, grid, dyadic, seed):
         assert np.max(np.abs(got - want), initial=0.0) <= tol
 
 
-@pytest.mark.parametrize("n", [1024, 8192])
-def test_batch_memory_is_bounded(n):
+@pytest.mark.parametrize("fullest", [1, 2, 3, 4, 7, 8, 15, 16, 17, 4096])
+def test_ranks_match_searchsorted(fullest):
+    # one bucket holds `fullest` values 2^-42 apart just above the bucket
+    # edge 5/16; the 16 others sit alone at the midpoints of (k/16, (k+1)/16)
+    cluster = 5 / 16 + 2.0**-30 + np.arange(fullest) * 2.0**-42
+    distinct = np.sort(np.concatenate((cluster, (np.arange(16) + 0.5) / 16)))
+    table = _rank_table(distinct)
+    buckets, base = table[0], table[1]
+    assert np.diff(base).max() == fullest
+    big = np.finfo(np.float64).max
+    x = np.concatenate(
+        (
+            distinct,
+            np.nextafter(distinct, -np.inf),
+            np.nextafter(distinct, np.inf),
+            np.arange(buckets + 1) / buckets,
+            [0.0, 1.0, -0.0, -1e-300, -3.0, 1.5, 1e300, -big, big],
+        )
+    )
+    assert np.array_equal(_ranks(table, x), np.searchsorted(distinct, x, "left"))
+
+
+@pytest.mark.parametrize(
+    "n, levels, bound",
+    [
+        pytest.param(1024, None, 96 << 20, id="1024"),
+        pytest.param(8192, None, 96 << 20, id="8192"),
+        # a block's prefix bitsets have one row per distinct coordinate
+        pytest.param(8192, 16, 12 << 20, id="8192-grid16"),
+    ],
+)
+def test_batch_memory_is_bounded(n, levels, bound):
     # the broadcast definition allocates 2^16 * n * 8 bytes per mask
     rng = np.random.default_rng(n)
     coords = rng.random((n, 8))
+    if levels:
+        coords = np.floor(coords * levels) / levels
     weights = rng.standard_normal(n) / n
     lo, hi = sample_box_pairs(rng, 1 << 16, 8)
     tracemalloc.start()
@@ -242,7 +270,7 @@ def test_batch_memory_is_bounded(n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 96 << 20
+    assert peak <= bound
 
 
 class TestSampler:

@@ -19,6 +19,7 @@ from extdisc import (
     WeightSet,
     classify_weights,
     duality_gap_mc,
+    engines,
     equal_weights,
     extreme_l2_exact,
     extreme_linf_exact,
@@ -518,6 +519,37 @@ class TestMonteCarloContract:
         s1 = extreme_linf_lower_mc(ps, ws, samples, seed=11, workers=1)
         s2 = extreme_linf_lower_mc(ps, ws, samples, seed=11, workers=2)
         assert s1.value == s2.value
+
+    def test_pool_is_capped_by_chunks_and_cpus(self, monkeypatch):
+        # the stub records the pool size and maps in the calling thread
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(engines, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(engines.os, "cpu_count", lambda: 4)
+        ps, ws = PointSet([[0.3, 0.6]]), equal_weights(1)
+        for chunks, workers, pool in [(3, 10**6, 3), (6, 10**6, 4), (6, 2, 2), (1, 8, None)]:
+            pools.clear()
+            samples = chunks * 65536
+            one = extreme_lp_mc(ps, ws, 3.0, samples, seed=7, workers=1)
+            many = extreme_lp_mc(ps, ws, 3.0, samples, seed=7, workers=workers)
+            assert pools == ([] if pool is None else [pool])
+            assert one.value == many.value and one.stderr == many.stderr
+        monkeypatch.setattr(engines.os, "cpu_count", lambda: None)  # unknown: one thread
+        extreme_linf_lower_mc(ps, ws, 3 * 65536, seed=7, workers=4)
+        assert pools == []
 
     def test_seed_changes_result(self):
         ps = PointSet([[0.3]])
