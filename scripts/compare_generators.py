@@ -10,8 +10,8 @@ Usage:
 """
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,18 +24,8 @@ from extdisc import (
 )
 
 
-@dataclass(frozen=True)
-class CompareConfig:
-    d: int = 2
-    n_max: int = 64
-    random_reps: int = 20
-    seed: int = 7
-
-
 def korobov_vector(n: int, d: int) -> tuple:
     """(1, a, a^2, ...) mod n with a coprime to n, a near 0.618 n."""
-    import math
-
     if n == 2 or d == 1:
         return tuple([1] * d)
     target = max(1, round(0.6180339887 * n))
@@ -53,7 +43,7 @@ def l2_of(spec: GeneratorSpec) -> float:
     return extreme_l2_exact(ps, ws).value
 
 
-def random_mean(cfg: CompareConfig, n: int) -> float:
+def random_mean(cfg: argparse.Namespace, n: int) -> float:
     vals = [
         l2_of(GeneratorSpec(GeneratorKind.RANDOM, n, cfg.d, seed=cfg.seed + rep))
         for rep in range(cfg.random_reps)
@@ -67,8 +57,7 @@ def main(argv=None):
     parser.add_argument("--n-max", type=int, default=64)
     parser.add_argument("--random-reps", type=int, default=20)
     parser.add_argument("--seed", type=int, default=7)
-    ns = parser.parse_args(argv)
-    cfg = CompareConfig(ns.d, ns.n_max, ns.random_reps, ns.seed)
+    cfg = parser.parse_args(argv)
 
     print("n,vdc_hammersley,lattice,grid,random_mean,lower_bound")
     n = 1

@@ -12,24 +12,13 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from extdisc import curse_constants, min_points_lower_bound
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    p_min: float = 1.05
-    p_max: float = 20.0
-    count: int = 80
-    dims: tuple = (5, 10, 20)
-    eps: float = 0.0
-    out: str = ""
-
-
-def build_rows(cfg: TableConfig):
+def build_rows(cfg: argparse.Namespace):
     header = ["p", "a_p", "b_p", "y_star", "c_p", "b_method"]
     header += [f"min_points_d{d}" for d in cfg.dims]
     rows = [header]
@@ -50,8 +39,7 @@ def main(argv=None):
     parser.add_argument("--dims", type=int, nargs="+", default=[5, 10, 20])
     parser.add_argument("--eps", type=float, default=0.0)
     parser.add_argument("--out", default="")
-    ns = parser.parse_args(argv)
-    cfg = TableConfig(ns.p_min, ns.p_max, ns.count, tuple(ns.dims), ns.eps, ns.out)
+    cfg = parser.parse_args(argv)
 
     rows = build_rows(cfg)
     text = "\n".join(",".join(r) for r in rows) + "\n"

@@ -11,7 +11,6 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,30 +23,20 @@ from extdisc import (
 )
 
 
-@dataclass(frozen=True)
-class CalibConfig:
-    n: int = 8
-    d: int = 2
-    reps: int = 200
-    seed: int = 1234
-    sample_counts: tuple = (20_000, 80_000, 320_000)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--n", type=int, default=8)
     parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--reps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1234)
-    ns = parser.parse_args(argv)
-    cfg = CalibConfig(ns.n, ns.d, ns.reps, ns.seed)
+    cfg = parser.parse_args(argv)
 
     ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, cfg.n, cfg.d))
     truth = extreme_l2_exact(ps, ws).value
     print(f"# exact L2 value: {truth!r}", file=sys.stderr)
 
     print("samples,z_mean,z_std,max_abs_z,frac_within_3")
-    for samples in cfg.sample_counts:
+    for samples in (20_000, 80_000, 320_000):
         zs = []
         for rep in range(cfg.reps):
             res = extreme_lp_mc(ps, ws, 2.0, samples, seed=cfg.seed + rep)

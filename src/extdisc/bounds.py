@@ -28,7 +28,9 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .core import InvalidInputError, PointSet
 from .dual import (
+    _check_all,
     _check_finite_p,
+    _check_p_over_1,
     initial_error,
     spline_norm,
     worst_case_1d,
@@ -65,13 +67,9 @@ def integral_ratio_max(p: float) -> float:
     return (p + 2.0) / (2.0 * p) * (1.0 - 2.0**-p)
 
 
-def norm_ratio(p: float, y):
-    """Ratio of the node-y spline norm to the unit worst-case norm.
-
-    Identical to `spline_norm` because the worst-case integrand has norm
-    one; kept as its own name since the bounds only use it as a ratio.
-    """
-    return spline_norm(p, y)
+# ratio of the node-y spline norm to the worst-case norm, which is one; kept
+# as its own name since the bounds only use it as a ratio
+norm_ratio = spline_norm
 
 
 def _norm_ratio_at_half(p: float) -> float:
@@ -208,9 +206,7 @@ def certificate_lower_bound(ps: PointSet, p: float) -> Certificate:
     Nodes with a coordinate at 0 contribute nothing to either sum: the
     spline pinned there is identically zero.
     """
-    p = _check_finite_p(p)
-    if p == 1.0:
-        raise InvalidInputError("certificate needs p > 1")
+    p = _check_p_over_1(p, "certificate needs p > 1")
     e0 = initial_error(p, ps.d)
     if ps.n:
         halves = 0.5 * worst_case_1d(p, ps.coords)  # (n, d) node-wise spline integrals
@@ -264,9 +260,7 @@ def log_curvature_at_half(p: float) -> float:
 
     Negative on 1 < p <= 8 (1/2 is a local max), positive for large p.
     """
-    p = _check_finite_p(p)
-    if p == 1.0:
-        raise InvalidInputError("curvature diagnostic needs p > 1")
+    p = _check_p_over_1(p, "curvature diagnostic needs p > 1")
     return -p * (p + 1.0) * 2.0 ** (2.0 - p) / (1.0 - 2.0**-p) + 8.0 / p
 
 
@@ -279,9 +273,7 @@ def envelope(p: float, a):
     the envelope stays below 1 certifies B_p < 1.
     """
     p = _check_finite_p(p)
-    a = np.asarray(a, dtype=np.float64)
-    if a.size and np.min(a) <= 0.0:
-        raise InvalidInputError("rescaled variable must be positive")
+    a = _check_all(a, lambda a: a > 0.0, "rescaled variable must be positive")
     v = (p + 2.0) / p * (1.0 - np.exp(-2.0 * a)) * (2.0 / ((p + 2.0) * a)) ** (1.0 / p)
     return float(v) if v.ndim == 0 else v
 
@@ -297,9 +289,7 @@ def envelope_tilde(p: float, a):
     maximum of G.  That peak has a closed form, see `envelope_tilde_peak`.
     """
     p = _check_finite_p(p)
-    a = np.asarray(a, dtype=np.float64)
-    if a.size and np.min(a) <= 0.0:
-        raise InvalidInputError("rescaled variable must be positive")
+    a = _check_all(a, lambda a: a > 0.0, "rescaled variable must be positive")
     v = (
         (p + 2.0)
         / p
@@ -317,9 +307,7 @@ def envelope_tilde_peak(p: float) -> tuple[float, float]:
     The value is below 1 for 8 < p < 11, covering the gap between the
     closed-form regime and the exponential envelope regime.
     """
-    p = _check_finite_p(p)
-    if p <= 1.0:
-        raise InvalidInputError("peak diagnostic needs p > 1")
+    p = _check_p_over_1(p, "peak diagnostic needs p > 1")
     a_peak = (p - 1.0) / (2.0 * p)
     value = ((p - 1.0) * (p + 2.0) / p) ** (1.0 - 1.0 / p) * 4.0 ** (1.0 / p) / p
     return a_peak, value
@@ -328,9 +316,7 @@ def envelope_tilde_peak(p: float) -> tuple[float, float]:
 def envelope_stationary_point(p: float) -> float:
     """Root a* of 1 - e^(2a) + 2 a p = 0, the unique positive stationary
     point of the exponential envelope; bracketed by (ln(p)/2, p)."""
-    p = _check_finite_p(p)
-    if p <= 1.0:
-        raise InvalidInputError("stationary point needs p > 1")
+    p = _check_p_over_1(p, "stationary point needs p > 1")
 
     def g(a: float) -> float:
         return 1.0 - math.exp(2.0 * a) + 2.0 * a * p
@@ -353,9 +339,7 @@ class RatioDiagnostics:
 
 
 def ratio_diagnostics(p: float) -> RatioDiagnostics:
-    p = _check_finite_p(p)
-    if p <= 1.0:
-        raise InvalidInputError("diagnostics need p > 1")
+    p = _check_p_over_1(p, "diagnostics need p > 1")
     a_star = envelope_stationary_point(p)
     residual = abs(1.0 - math.exp(2.0 * a_star) + 2.0 * a_star * p)
     peak_loc, peak_val = envelope_tilde_peak(p)

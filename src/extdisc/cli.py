@@ -52,14 +52,11 @@ from .generators import GeneratorKind, GeneratorSpec, generate
 
 
 def _exponent(token: str) -> float:
-    t = token.strip().lower()
-    if t in ("inf", "infinity"):
-        return math.inf
     try:
-        v = float(t)
+        v = float(token)  # takes 'inf' and 'infinity' in any case, padded or not
     except ValueError:
         raise InvalidInputError(f"exponent {token!r} is not a number or 'inf'") from None
-    if math.isnan(v) or v < 1.0:
+    if not v >= 1.0:  # NaN included
         raise InvalidInputError("exponent must be >= 1 or 'inf'")
     return v
 
@@ -167,7 +164,7 @@ def cmd_bounds(args) -> int:
     p = _resolve_p(args)
     if args.d_min < 1 or args.d_max < args.d_min:
         raise InvalidInputError("need 1 <= d-min <= d-max")
-    if args.eps < 0.0:
+    if not args.eps >= 0.0:  # NaN included
         raise InvalidInputError("eps must be >= 0")
     out = sys.stdout
     out.write(

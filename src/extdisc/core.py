@@ -237,14 +237,18 @@ class DiscrepancyResult:
 # local discrepancy
 
 
+def _check_pair(ps: PointSet, ws: WeightSet) -> None:
+    if ws.n != ps.n:
+        raise InvalidInputError("point set and weight set sizes differ")
+
+
 def local_discrepancy(ps: PointSet, ws: WeightSet, box: BoxPair) -> float:
     """Weighted count of points in [lower, upper) minus the box volume.
 
     One box is evaluated straight from the definition in O(n d); the tables
     of `local_discrepancy_batch` only pay off over many boxes.
     """
-    if ws.n != ps.n:
-        raise InvalidInputError("point set and weight set sizes differ")
+    _check_pair(ps, ws)
     if box.d != ps.d:
         raise InvalidInputError("box dimension does not match point set")
     inside = np.all((box.lower <= ps.coords) & (ps.coords < box.upper), axis=1)
@@ -379,13 +383,13 @@ def _block_counts(
 def substream(seed: int, index: int) -> np.random.Generator:
     """Counter-based generator for chunk `index` of the stream named `seed`.
 
-    Streams for distinct (seed, index) pairs are statistically independent,
+    Streams for distinct (seed mod 2^64, index) pairs are independent,
     and reconstructing a stream is O(1), so chunks can be evaluated in any
     order or on any worker with identical output.
     """
     if index < 0:
         raise InvalidInputError("substream index must be >= 0")
-    key = [int(seed) & 0xFFFFFFFFFFFFFFFF, int(index) & 0xFFFFFFFFFFFFFFFF]
+    key = np.array([int(seed) % 2**64, int(index) % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -395,8 +399,10 @@ def sample_box_pairs(rng, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     Per coordinate, two independent uniforms are drawn and sorted; the joint
     density of (lower, upper) is then 2^d on the set lower <= upper.
     """
-    u = rng.random((2, m, d))
-    return np.minimum(u[0], u[1]), np.maximum(u[0], u[1])
+    # two (m, d) draws give the values of one (2, m, d) draw but free the second
+    a, b = rng.random((m, d)), rng.random((m, d))
+    hi = np.maximum(a, b)
+    return np.minimum(a, b, out=a), hi
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +523,7 @@ def load_points(path: str | Path, d: int | None = None) -> tuple[PointSet, Weigh
 
 def points_csv(ps: PointSet, ws: WeightSet) -> str:
     """Render the CSV point format; QMC rules omit the weight column."""
-    if ws.n != ps.n:
-        raise InvalidInputError("point set and weight set sizes differ")
+    _check_pair(ps, ws)
     with_weight = ws.kind is not WeightKind.QMC
     head = [f"x{j + 1}" for j in range(ps.d)] + ["weight"] * with_weight
     table = np.column_stack((ps.coords, ws.values)) if with_weight else ps.coords

@@ -33,7 +33,6 @@ from .engines import (
     CellDecomposition,
     _accepts,
     _check_sampling,
-    _even_p_fits,
     _lp_moment,
     extreme_l2_exact,
     extreme_lp_exact_even_p,
@@ -58,6 +57,25 @@ def _check_finite_p(p: float) -> float:
     if not (1.0 <= p < math.inf):
         raise InvalidInputError("need a finite exponent p in [1, inf)")
     return p
+
+
+def _check_p_over_1(p: float, message: str) -> float:
+    p = _check_finite_p(p)
+    if p == 1.0:
+        raise InvalidInputError(message)
+    return p
+
+
+def _check_all(x, ok, message: str) -> np.ndarray:
+    """x as a float array; raises `message` unless ok(x) holds everywhere (NaN fails)."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(ok(x)):
+        raise InvalidInputError(message)
+    return x
+
+
+def _in_unit(x):
+    return (0.0 <= x) & (x <= 1.0)
 
 
 def _profile_scale(p: float) -> float:
@@ -87,9 +105,7 @@ def worst_case_1d(p: float, x):
     maximized at x = 1/2.
     """
     p = _check_finite_p(p)
-    x = np.asarray(x, dtype=np.float64)
-    if x.size and (np.min(x) < 0.0 or np.max(x) > 1.0):
-        raise InvalidInputError("arguments must lie in [0, 1]")
+    x = _check_all(x, _in_unit, "arguments must lie in [0, 1]")
     v = _profile_scale(p) * (1.0 - x ** (p + 1.0) - (1.0 - x) ** (p + 1.0))
     return float(v) if v.ndim == 0 else v
 
@@ -111,12 +127,8 @@ def spline_eval(p: float, y: float, x):
     For y in {0, 1} the spline degenerates to zero.
     """
     p = _check_finite_p(p)
-    y = float(y)
-    if not (0.0 <= y <= 1.0):
-        raise InvalidInputError("node must lie in [0, 1]")
-    x = np.asarray(x, dtype=np.float64)
-    if x.size and (np.min(x) < 0.0 or np.max(x) > 1.0):
-        raise InvalidInputError("arguments must lie in [0, 1]")
+    y = float(_check_all(y, _in_unit, "node must lie in [0, 1]"))
+    x = _check_all(x, _in_unit, "arguments must lie in [0, 1]")
     if y == 0.0 or y == 1.0:
         v = np.zeros_like(x)
     else:
@@ -131,9 +143,7 @@ def spline_norm(p: float, y):
     norm, the quantity whose maximum over y drives the curse bounds.
     """
     p = _check_finite_p(p)
-    y = np.asarray(y, dtype=np.float64)
-    if y.size and (np.min(y) < 0.0 or np.max(y) > 1.0):
-        raise InvalidInputError("nodes must lie in [0, 1]")
+    y = _check_all(y, _in_unit, "nodes must lie in [0, 1]")
     interior = (y > 0.0) & (y < 1.0)
     mass = np.where(interior, y * (1.0 - y), 1.0)
     v = np.where(interior, worst_case_1d(p, y) * mass ** (-1.0 / p), 0.0)
@@ -143,9 +153,7 @@ def spline_norm(p: float, y):
 def spline_integral(p: float, y: float) -> float:
     """Integral over [0, 1] of the node-y spline, h(y) / 2."""
     p = _check_finite_p(p)
-    y = float(y)
-    if not (0.0 <= y <= 1.0):
-        raise InvalidInputError("node must lie in [0, 1]")
+    y = float(_check_all(y, _in_unit, "node must lie in [0, 1]"))
     return 0.5 * worst_case_1d(p, y)
 
 
@@ -185,7 +193,11 @@ def extremal_representer(
 # numeric coefficient-to-integrand operator (1-d)
 
 
-def box_operator_1d(c, x: float, panels: int = 8, order: int = 16, breakpoints=()) -> float:
+# Gauss-Legendre panels per segment of `box_operator_1d`, and nodes per panel
+_PANELS, _ORDER = 8, 16
+
+
+def box_operator_1d(c, x: float, breakpoints=()) -> float:
     """Numeric value at x of the integrand with box coefficient c.
 
     Integrates c(a, b) over a in [0, x], b in [x, 1], the set of boxes
@@ -193,18 +205,14 @@ def box_operator_1d(c, x: float, panels: int = 8, order: int = 16, breakpoints=(
     jumps through `breakpoints` so panel edges align with them, otherwise
     the rule converges slowly.  c must accept numpy array arguments.
     """
-    x = float(x)
-    if not (0.0 <= x <= 1.0):
-        raise InvalidInputError("x must lie in [0, 1]")
-    if panels < 1 or order < 1:
-        raise InvalidInputError("panels and order must be >= 1")
-    nodes, wts = np.polynomial.legendre.leggauss(order)
+    x = float(_check_all(x, _in_unit, "x must lie in [0, 1]"))
+    nodes, wts = np.polynomial.legendre.leggauss(_ORDER)
 
     def segment_nodes(lo: float, hi: float):
         cuts = [lo] + sorted(b for b in breakpoints if lo < b < hi) + [hi]
         xs, ws_ = [], []
         for s0, s1 in zip(cuts[:-1], cuts[1:]):
-            edges = np.linspace(s0, s1, panels + 1)
+            edges = np.linspace(s0, s1, _PANELS + 1)
             for e0, e1 in zip(edges[:-1], edges[1:]):
                 half = 0.5 * (e1 - e0)
                 xs.append(0.5 * (e0 + e1) + half * nodes)
@@ -290,14 +298,12 @@ def duality_gap_mc(
     integral of |delta|^p at `seed`, over norm^(p-1).  Its target is norm,
     reported with a delta-free z-score.
     """
-    p = _check_finite_p(p)
-    if p == 1.0:
-        raise InvalidInputError("duality audit needs p > 1 (q finite)")
+    p = _check_p_over_1(p, "duality audit needs p > 1 (q finite)")
     _check_sampling(ps, ws, samples, workers, least=2)
     if _accepts(Method.L2_EXACT, p):
         res = extreme_l2_exact(ps, ws)
-    elif _accepts(Method.EVEN_P_EXACT, p) and _even_p_fits(
-        CellDecomposition.from_points(ps), DEFAULT_CELL_BUDGET
+    elif _accepts(Method.EVEN_P_EXACT, p) and (
+        CellDecomposition.from_points(ps).interval_pair_count() <= DEFAULT_CELL_BUDGET
     ):
         res = extreme_lp_exact_even_p(ps, ws, p)
     else:

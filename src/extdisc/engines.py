@@ -47,6 +47,7 @@ from .core import (
     Method,
     PointSet,
     WeightSet,
+    _check_pair,
     local_discrepancy_batch,
     sample_box_pairs,
     substream,
@@ -81,11 +82,6 @@ def _check_exponent(method: Method, p) -> None:
     if not _accepts(method, p):
         text = _EXPONENT_RULES[method][0]
         raise InvalidInputError(f"{method.value} requires {text}, got p = {p}")
-
-
-def _check_pair(ps: PointSet, ws: WeightSet) -> None:
-    if ws.n != ps.n:
-        raise InvalidInputError("point set and weight set sizes differ")
 
 
 def _check_budget(budget: int) -> None:
@@ -202,23 +198,20 @@ def extreme_l2_exact(ps: PointSet, ws: WeightSet) -> DiscrepancyResult:
     """
     _check_pair(ps, ws)
     n, d = ps.n, ps.d
-    if n:
-        w, cols = ws.values, np.ascontiguousarray(ps.coords.T)
-        kw = np.empty(n)
-        step = max(1, _SLAB // n)
-        for start in range(0, n, step):
-            rows = slice(start, start + step)
-            block = 1.0
-            for a, b in zip(cols[:, rows, None], cols):
-                mix = np.minimum(a, b)
-                mix -= a * b
-                block *= mix
-            kw[rows] = block @ w
-        pair_term = float(w @ kw)
-        g = (1.0 - ps.coords**3 - (1.0 - ps.coords) ** 3) / 6.0
-        cross_term = float(w @ np.prod(g, axis=1))
-    else:
-        pair_term = cross_term = 0.0
+    w, cols = ws.values, np.ascontiguousarray(ps.coords.T)
+    kw = np.empty(n)
+    step = max(1, _SLAB // max(n, 1))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        block = 1.0
+        for a, b in zip(cols[:, rows, None], cols):
+            mix = np.minimum(a, b)
+            mix -= a * b
+            block *= mix
+        kw[rows] = block @ w
+    pair_term = float(w @ kw)
+    g = (1.0 - ps.coords**3 - (1.0 - ps.coords) ** 3) / 6.0
+    cross_term = float(w @ np.prod(g, axis=1))
     sq = pair_term - 2.0 * cross_term + 12.0**-d
     if sq < -_L2_NEG_TOL:
         raise InternalConsistencyError(f"squared L2 total {sq} is negative")
@@ -247,11 +240,6 @@ def _interval_integrals(g: np.ndarray, s: np.ndarray, t: np.ndarray, p: int) -> 
     return integrals
 
 
-def _even_p_fits(cd: CellDecomposition, cell_budget: int) -> bool:
-    """Whether the cells `extreme_lp_exact_even_p` integrates fit `cell_budget`."""
-    return cd.interval_pair_count() <= cell_budget
-
-
 def extreme_lp_exact_even_p(
     ps: PointSet, ws: WeightSet, p: int, cell_budget: int = DEFAULT_CELL_BUDGET
 ) -> DiscrepancyResult:
@@ -273,7 +261,7 @@ def extreme_lp_exact_even_p(
             f"p = {p} needs {p + 1} terms per cell, over budget {cell_budget}; use extreme_lp_mc"
         )
     cd = CellDecomposition.from_points(ps)
-    if not _even_p_fits(cd, cell_budget):
+    if cd.interval_pair_count() > cell_budget:
         raise BudgetExceededError(
             f"{cd.interval_pair_count()} cells exceed budget {cell_budget}; "
             "use extreme_lp_mc instead"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from extdisc import (
+    InvalidInputError,
     PointSet,
     certificate_lower_bound,
     equal_weights,
@@ -17,6 +18,7 @@ from extdisc import (
     load_points,
     save_points,
 )
+from extdisc.cli import _exponent
 
 RESULT_KEYS = {"task", "p", "d", "n", "method", "value", "stderr", "samples", "seed"}
 RESULT_REQUIRED = {"task", "p", "d", "n", "method", "value"}
@@ -171,6 +173,19 @@ class TestDisc:
         assert err.startswith("error: ") and "line 3 is not UTF-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("token", ["inf", "INF", " Infinity ", "+Inf", "iNfInItY", "1e400"])
+    def test_infinite_exponent_tokens(self, token):
+        assert _exponent(token) == math.inf
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [("nan", "must be >= 1"), ("-inf", "must be >= 1"), ("0.5", "must be >= 1"),
+         ("abc", "'abc' is not a number")],
+    )
+    def test_bad_exponent_tokens(self, token, message):
+        with pytest.raises(InvalidInputError, match=message):
+            _exponent(token)
+
     def test_missing_exponent(self, one_center):
         code, _, err = run_cli(
             "disc", "--input", one_center, "--method", "mc", "--samples", "100", "--seed", "1"
@@ -233,6 +248,12 @@ class TestBounds:
         rows = self.header(out)
         assert float(rows[1][3]) > 1.0
         assert rows[0][4] == "" and rows[0][5] == ""
+
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    def test_nan_eps_rejected_before_output(self, p):
+        code, out, err = run_cli("bounds", "--p", p, "--d-max", "3", "--eps", "nan")
+        assert code == 2 and out == ""
+        assert "eps must be >= 0" in err
 
     def test_q_equivalent(self):
         a = run_cli("bounds", "--p", "3", "--d-max", "2", "--eps", "0.1")

@@ -273,6 +273,20 @@ def test_batch_memory_is_bounded(n, levels, bound):
     assert peak <= bound
 
 
+def test_box_pairs_memory():
+    # one draw of both anchors plus the upper anchors: 3 * 4 MiB at 2^16 x 8;
+    # afterwards only the two returned arrays stay alive
+    tracemalloc.start()
+    try:
+        lo, hi = sample_box_pairs(substream(3, 0), 1 << 16, 8)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 << 20
+    assert held <= (8 << 20) + (64 << 10)
+    assert np.all(lo <= hi)
+
+
 class TestSampler:
     def test_ordered_and_in_range(self):
         lo, hi = sample_box_pairs(substream(11, 0), 10_000, 3)
@@ -301,6 +315,15 @@ class TestSampler:
         c = substream(7, 4).random(5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_substream_seed_is_reduced_mod_2_64(self):
+        key = substream(-1, 0).bit_generator.state["state"]["key"]
+        assert key.tolist() == [2**64 - 1, 0]
+        assert np.array_equal(substream(-1, 2).random(4), substream(2**64 - 1, 2).random(4))
+        for s, t in ((2**63, 2**63 + 1), (-1, 0), (2**64 - 2048, 2**64 - 2047)):
+            a = sample_box_pairs(substream(s, 0), 4, 2)[0]
+            b = sample_box_pairs(substream(t, 0), 4, 2)[0]
+            assert not np.array_equal(a, b)
 
 
 class TestValidation:

@@ -13,9 +13,12 @@ from extdisc import (
     box_operator_1d,
     conjugate_exponent,
     duality_gap_mc,
+    envelope,
+    envelope_tilde,
     equal_weights,
     extremal_representer,
     initial_error,
+    norm_ratio,
     representer_value,
     spline_eval,
     spline_integral,
@@ -107,6 +110,37 @@ class TestWorstCase:
     def test_initial_error_rejects_p_outside_domain(self, p):
         with pytest.raises(InvalidInputError):
             initial_error(p, 2)
+
+
+@pytest.mark.parametrize("arg", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
+@pytest.mark.parametrize(
+    "f",
+    [
+        worst_case_1d,
+        lambda p, x: spline_eval(p, 0.3, x),
+        lambda p, y: spline_eval(p, y, 0.5),
+        spline_norm,
+        spline_integral,
+        norm_ratio,
+        envelope,
+        envelope_tilde,
+        lambda p, x: box_operator_1d(lambda a, b: a * b, x),
+    ],
+    ids=[
+        "worst_case_1d",
+        "spline_eval_x",
+        "spline_eval_y",
+        "spline_norm",
+        "spline_integral",
+        "norm_ratio",
+        "envelope",
+        "envelope_tilde",
+        "box_operator_1d",
+    ],
+)
+def test_nan_argument_rejected(f, arg):
+    with pytest.raises(InvalidInputError):
+        f(2.0, arg)
 
 
 class TestSpline:
