@@ -164,8 +164,8 @@ def cmd_bounds(args) -> int:
     p = _resolve_p(args)
     if args.d_min < 1 or args.d_max < args.d_min:
         raise InvalidInputError("need 1 <= d-min <= d-max")
-    if not args.eps >= 0.0:  # NaN included
-        raise InvalidInputError("eps must be >= 0")
+    if not 0.0 <= args.eps < math.inf:  # NaN included
+        raise InvalidInputError("eps must be >= 0 and finite")
     out = sys.stdout
     out.write(
         _config_comment(

@@ -368,11 +368,20 @@ def _block_counts(
             else:
                 inside &= axis_in
         tile = len(inside)
+        # a box whose bitset is all zero holds no point: its count is the 0.0
+        # its bytes sum to, so only the other boxes read the byte table (in
+        # high d most sampled boxes are empty)
+        hit = np.flatnonzero(inside.any(axis=1))
+        dest = slice(start, start + tile)
+        if len(hit) < tile:
+            counts[dest] = 0.0
+            inside, dest = inside[hit], start + hit
+        k = len(hit)
         # indices are in range by construction; mode="wrap" skips the
         # buffered copy that take's default mode makes for `out`
-        np.add(inside.view(np.uint8), row_offset, out=index[:tile])
-        table.take(index[:tile], out=values[:tile], mode="wrap")
-        counts[start : start + tile] = values[:tile].sum(axis=1)
+        np.add(inside.view(np.uint8), row_offset, out=index[:k])
+        table.take(index[:k], out=values[:k], mode="wrap")
+        counts[dest] = values[:k].sum(axis=1)
     return counts
 
 

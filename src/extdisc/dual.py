@@ -78,6 +78,14 @@ def _in_unit(x):
     return (0.0 <= x) & (x <= 1.0)
 
 
+def _check_unit_value(x, name: str) -> float:
+    """x as one float in [0, 1]; raises naming `name` otherwise (NaN included)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim:
+        raise InvalidInputError(f"{name} must be a single value")
+    return float(_check_all(x, _in_unit, f"{name} must lie in [0, 1]"))
+
+
 def _profile_scale(p: float) -> float:
     """Leading factor of the 1-d worst-case profile."""
     return (p + 2.0) / p * ((p + 1.0) * (p + 2.0)) ** (-1.0 / p)
@@ -127,7 +135,7 @@ def spline_eval(p: float, y: float, x):
     For y in {0, 1} the spline degenerates to zero.
     """
     p = _check_finite_p(p)
-    y = float(_check_all(y, _in_unit, "node must lie in [0, 1]"))
+    y = _check_unit_value(y, "node")
     x = _check_all(x, _in_unit, "arguments must lie in [0, 1]")
     if y == 0.0 or y == 1.0:
         v = np.zeros_like(x)
@@ -153,7 +161,7 @@ def spline_norm(p: float, y):
 def spline_integral(p: float, y: float) -> float:
     """Integral over [0, 1] of the node-y spline, h(y) / 2."""
     p = _check_finite_p(p)
-    y = float(_check_all(y, _in_unit, "node must lie in [0, 1]"))
+    y = _check_unit_value(y, "node")
     return 0.5 * worst_case_1d(p, y)
 
 
@@ -205,7 +213,7 @@ def box_operator_1d(c, x: float, breakpoints=()) -> float:
     jumps through `breakpoints` so panel edges align with them, otherwise
     the rule converges slowly.  c must accept numpy array arguments.
     """
-    x = float(_check_all(x, _in_unit, "x must lie in [0, 1]"))
+    x = _check_unit_value(x, "x")
     nodes, wts = np.polynomial.legendre.leggauss(_ORDER)
 
     def segment_nodes(lo: float, hi: float):

@@ -23,8 +23,9 @@ axis 0 in slabs of about `_SLAB` counts.  The sup-norm engine scans axis 0
 of slabs of about `_SLAB` table entries with a running minimum, O(grid
 lines) per column instead of O(grid pairs), and re-evaluates the few
 boxes within a rounding bound of the best directly, so its result is the
-same float as a direct maximum over all grid boxes.  The L2 engine builds
-its pair kernel in row blocks of about `_SLAB` entries.
+same float as a direct maximum over all grid boxes.  The L2 engine
+evaluates the n(n+1)/2 entries of its symmetric pair kernel on and above
+the diagonal, in row blocks of about `_SLAB` entries.
 """
 
 from __future__ import annotations
@@ -201,15 +202,22 @@ def extreme_l2_exact(ps: PointSet, ws: WeightSet) -> DiscrepancyResult:
     w, cols = ws.values, np.ascontiguousarray(ps.coords.T)
     kw = np.empty(n)
     step = max(1, _SLAB // max(n, 1))
+    # the kernel is symmetric, so row block [start, stop) meets only the
+    # columns from start on: of its first stop - start columns the mask keeps
+    # those right of the diagonal and halves the diagonal, and the pair sum
+    # is doubled at the end (x 1/2 and x 2 are exact)
+    size = min(step, n)
+    mask = np.triu(np.ones((size, size)), 1) + 0.5 * np.eye(size)
     for start in range(0, n, step):
-        rows = slice(start, start + step)
+        stop = min(start + step, n)
         block = 1.0
-        for a, b in zip(cols[:, rows, None], cols):
+        for a, b in zip(cols[:, start:stop, None], cols[:, start:]):
             mix = np.minimum(a, b)
             mix -= a * b
             block *= mix
-        kw[rows] = block @ w
-    pair_term = float(w @ kw)
+        block[:, : stop - start] *= mask[: stop - start, : stop - start]
+        kw[start:stop] = block @ w[start:]
+    pair_term = 2.0 * float(w @ kw)
     g = (1.0 - ps.coords**3 - (1.0 - ps.coords) ** 3) / 6.0
     cross_term = float(w @ np.prod(g, axis=1))
     sq = pair_term - 2.0 * cross_term + 12.0**-d
@@ -261,10 +269,13 @@ def extreme_lp_exact_even_p(
             f"p = {p} needs {p + 1} terms per cell, over budget {cell_budget}; use extreme_lp_mc"
         )
     cd = CellDecomposition.from_points(ps)
-    if cd.interval_pair_count() > cell_budget:
+    ncells = cd.interval_pair_count()
+    if ncells > cell_budget:
+        columns = math.prod((len(g) - 1) * len(g) // 2 for g in cd.gammas[1:])
+        nbytes = 8 * (len(cd.gammas[0]) + 1) * columns
         raise BudgetExceededError(
-            f"{cd.interval_pair_count()} cells exceed budget {cell_budget}; "
-            "use extreme_lp_mc instead"
+            f"{ncells} cells exceed budget {cell_budget} (a {nbytes}-byte differenced "
+            "table); use extreme_lp_mc instead"
         )
     # ordered interval pairs (s, t), s <= t, lexicographic on every axis
     pairs = [np.triu_indices(len(g) - 1) for g in cd.gammas]

@@ -255,6 +255,13 @@ class TestBounds:
         assert code == 2 and out == ""
         assert "eps must be >= 0" in err
 
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    def test_infinite_eps_rejected_before_output(self, p):
+        # the config line would carry "eps": Infinity, which is not JSON
+        code, out, err = run_cli("bounds", "--p", p, "--d-max", "3", "--eps", "inf")
+        assert code == 2 and out == ""
+        assert "eps must be >= 0 and finite" in err
+
     def test_q_equivalent(self):
         a = run_cli("bounds", "--p", "3", "--d-max", "2", "--eps", "0.1")
         b = run_cli("bounds", "--q", "1.5", "--d-max", "2", "--eps", "0.1")

@@ -143,6 +143,22 @@ def test_nan_argument_rejected(f, arg):
         f(2.0, arg)
 
 
+@pytest.mark.parametrize("arg", [[0.3, 0.4], np.array([0.3, 0.5]), [0.3]])
+@pytest.mark.parametrize(
+    "f, name",
+    [
+        (spline_integral, "node"),
+        (lambda p, y: spline_eval(p, y, 0.5), "node"),
+        (lambda p, x: box_operator_1d(lambda a, b: a * b, x), "x"),
+    ],
+    ids=["spline_integral", "spline_eval_y", "box_operator_1d"],
+)
+def test_scalar_argument_takes_one_value(f, name, arg):
+    # every entry is in range, but the argument is not one value
+    with pytest.raises(InvalidInputError, match=f"{name} must be a single value"):
+        f(2.0, arg)
+
+
 class TestSpline:
     @pytest.mark.parametrize("p", P_GRID)
     def test_interpolates_at_node(self, p):

@@ -158,6 +158,42 @@ def reference_slab_linf(ps, ws):
     return best
 
 
+def reference_full_l2(ps, ws):
+    """(pair, cross, 12^-d) of the closed-form L2^2 = pair - 2 cross + 12^-d.
+
+    This is the engine's previous kernel: each row block of about 2^16
+    entries meets every column, so each pair of points is evaluated twice,
+    once per order.
+    """
+    n, d = ps.n, ps.d
+    w, cols = ws.values, np.ascontiguousarray(ps.coords.T)
+    kw = np.empty(n)
+    step = max(1, (1 << 16) // max(n, 1))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        block = 1.0
+        for a, b in zip(cols[:, rows, None], cols):
+            mix = np.minimum(a, b)
+            mix -= a * b
+            block *= mix
+        kw[rows] = block @ w
+    g = (1.0 - ps.coords**3 - (1.0 - ps.coords) ** 3) / 6.0
+    return float(w @ kw), float(w @ np.prod(g, axis=1)), 12.0**-d
+
+
+def rational_l2_power(ps, ws):
+    """The closed-form L2^2 in exact rational arithmetic, over all ordered pairs."""
+    xs = [[Fraction(float(v)) for v in row] for row in ps.coords]
+    cs = [Fraction(float(c)) for c in ws.values]
+    pair = sum(
+        cj * ck * math.prod(min(a, b) - a * b for a, b in zip(xj, xk))
+        for xj, cj in zip(xs, cs)
+        for xk, ck in zip(xs, cs)
+    )
+    cross = sum(c * math.prod((1 - a**3 - (1 - a) ** 3) / 6 for a in x) for x, c in zip(xs, cs))
+    return pair - 2 * cross + Fraction(1, 12**ps.d)
+
+
 def vdc_1d(n):
     return generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, n, 1))
 
@@ -453,6 +489,41 @@ def signed_rule(n, d, seed):
     return ps, WeightSet(w, classify_weights(w))
 
 
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 300, 4097])
+def test_l2_matches_full_kernel_reference(n, d):
+    # the engine takes 65536 // n rows per block: n = 256 is one full block,
+    # 257, 300 and 4097 leave a partial last block.  The second half of the
+    # points repeats the first half, and a few weights are negative.
+    ps, ws = signed_rule(n, d, seed=n + d)
+    coords = ps.coords.copy()
+    coords[n // 2 :] = coords[: n - n // 2]
+    ps = PointSet(coords)
+    pair, cross, const = reference_full_l2(ps, ws)
+    # both sums round within a few eps of the terms' magnitudes (measured:
+    # at most 0.9 eps * scale apart on these rules)
+    scale = abs(pair) + 2.0 * abs(cross) + const
+    got = extreme_l2_exact(ps, ws).value ** 2
+    assert abs(got - (pair - 2.0 * cross + const)) <= 8.0 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_l2_matches_rational_closed_form(seed):
+    # even seeds: dyadic points and weights in [-1, 1], duplicates likely;
+    # odd seeds: uniform points with signed weights (1 + N(0, 1/4)) / n
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(0, 9)), int(rng.integers(1, 5))
+    if seed % 2 == 0:
+        coords = rng.integers(0, 8, (n, d)) / 8.0
+        weights = rng.integers(-64, 65, n) / 64.0
+    else:
+        coords = rng.random((n, d))
+        weights = (1.0 + 0.5 * rng.standard_normal(n)) / max(n, 1)
+    ps, ws = PointSet(coords.reshape(n, d)), WeightSet(weights, classify_weights(weights))
+    exact = math.sqrt(rational_l2_power(ps, ws))
+    assert extreme_l2_exact(ps, ws).value == pytest.approx(exact, rel=1e-12)
+
+
 # float.hex of extreme_lp_mc (value, stderr), extreme_linf_lower_mc value and
 # duality_gap_mc (pairing, qnorm_pow) at p = 3, 2^16 + 1000 samples, seed 5.
 # The audit entries come from the L_p sampler's integral of |delta|^p divided
@@ -584,6 +655,9 @@ class TestGuards:
         ps = PointSet(rng.random((30, 2)))
         ws = equal_weights(30)
         with pytest.raises(BudgetExceededError, match="extreme_lp_mc"):
+            extreme_lp_exact_even_p(ps, ws, 2, cell_budget=100)
+        # 31 intervals per axis: the table has 33 rows of 496 columns
+        with pytest.raises(BudgetExceededError, match="a 130944-byte differenced table"):
             extreme_lp_exact_even_p(ps, ws, 2, cell_budget=100)
         with pytest.raises(BudgetExceededError, match="extreme_linf_lower_mc"):
             extreme_linf_exact(ps, ws, box_budget=100)
