@@ -92,8 +92,6 @@ def _norm_ratio_max_numeric(p: float) -> tuple[float, float]:
     k = int(np.argmax(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
-    if lo == hi:
-        return float(vals[k]), float(grid[k])
     res = minimize_scalar(
         lambda y: -norm_ratio(p, y),
         bounds=(lo, hi),

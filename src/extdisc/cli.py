@@ -12,7 +12,7 @@ Subcommands:
 Results go to stdout: JSON objects for single evaluations, CSV with a
 leading '#' config comment for tables.  Every run echoes the fields that
 determine its result; --workers only changes scheduling, never output.
-Exit codes: 0 success, 2 invalid input, 3 work budget exceeded.
+Exit codes: 0 success, 2 invalid input, 3 over budget, 4 inconsistent result.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .bounds import (
 from .core import (
     _RANDOMIZED,
     BudgetExceededError,
+    InternalConsistencyError,
     InvalidInputError,
     Method,
     equal_weights,
@@ -99,7 +100,7 @@ _IMPLIED_P = {Method.L2_EXACT: 2.0, Method.LINF_EXACT: math.inf, Method.LINF_SAM
 
 def cmd_disc(args) -> int:
     ps, ws = load_points(args.input, d=args.d)
-    if args.weights == "qmc":
+    if args.weights == "qmc" and ps.n:  # an empty rule has no 1/n weights to force
         ws = equal_weights(ps.n)
     method = Method(args.method)
     p = _resolve_p(args, default=_IMPLIED_P.get(method))
@@ -364,6 +365,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -349,7 +349,7 @@ def _block_counts(
     row_offset = np.arange(0, 256 * bytes_per_set, 256)
 
     m = lower.shape[0]
-    counts = np.empty(m)
+    counts = np.zeros(m)
     rows = max(1, _TILE_BYTES // (8 * bytes_per_set))
     index = np.empty((min(rows, m), bytes_per_set), dtype=np.intp)
     values = np.empty(index.shape)
@@ -367,21 +367,16 @@ def _block_counts(
                 inside = axis_in
             else:
                 inside &= axis_in
-        tile = len(inside)
-        # a box whose bitset is all zero holds no point: its count is the 0.0
+        # a box whose bitset is all zero holds no point and keeps the 0.0
         # its bytes sum to, so only the other boxes read the byte table (in
         # high d most sampled boxes are empty)
         hit = np.flatnonzero(inside.any(axis=1))
-        dest = slice(start, start + tile)
-        if len(hit) < tile:
-            counts[dest] = 0.0
-            inside, dest = inside[hit], start + hit
         k = len(hit)
         # indices are in range by construction; mode="wrap" skips the
         # buffered copy that take's default mode makes for `out`
-        np.add(inside.view(np.uint8), row_offset, out=index[:k])
+        np.add(inside[hit].view(np.uint8), row_offset, out=index[:k])
         table.take(index[:k], out=values[:k], mode="wrap")
-        counts[dest] = values[:k].sum(axis=1)
+        counts[start + hit] = values[:k].sum(axis=1)
     return counts
 
 

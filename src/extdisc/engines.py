@@ -10,10 +10,10 @@ evaluation is supported for p = 2 (closed form) and all even integers
 Carlo.  The sup norm has an exact grid enumeration and a sampled hard
 lower bound.  One table, `_EXPONENT_RULES`, holds the exponents each
 `Method` accepts, for the engines and the CLI alike.  Every sampler,
-`dual.duality_gap_mc` included, runs on one chunked core, `_sample`, and
-reduces its per-chunk sums in chunk order with `_mean_stderr`; the L_p
-sampler and the duality audit share one statistic, the sampled integral
-of |delta|^p (`_lp_moment`).
+`dual.duality_gap_mc` included, runs on one chunked core, `_sample`; the
+L_p sampler and the duality audit share one statistic, the sampled
+integral of |delta|^p (`_lp_moment`).  A finite rule misses boxes of
+positive volume, so a total that is not positive is an error, never 0.
 
 The grid engines never build a point-by-box membership matrix: every
 weighted count is a difference of one cumulative weighted histogram over
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -59,10 +60,6 @@ DEFAULT_BOX_BUDGET = 10**8
 
 # output entries per slab of the exact engines' counts and L2 kernel
 _SLAB = 1 << 16
-
-# squared-total clamp for the closed-form L2 path; anything more negative
-# indicates a real inconsistency, not roundoff
-_L2_NEG_TOL = 1e-12
 
 
 # (accepted exponents, test) per method, shared by the engines, dual and the CLI
@@ -164,24 +161,6 @@ def _difference_rest(prefix: np.ndarray, rest_bounds: list[tuple[np.ndarray, np.
     return table.reshape(len(table), -1)
 
 
-def _box_counts(prefix: np.ndarray, bounds: list[tuple[np.ndarray, np.ndarray]]):
-    """Weighted counts of a product of per-axis index ranges, in slabs.
-
-    bounds[j] = (lo, hi) lists the ranges of axis j, as in
-    `_difference_rest`.  The differences over axes 1.. are taken once; then
-    each slab of about _SLAB counts is one gather and one subtract over
-    axis 0.  Yields (rows, counts) with rows a slice of axis-0 ranges and
-    counts of shape (rows, ranges of axes 1..), the latter flattened in C
-    order.
-    """
-    table = _difference_rest(prefix, bounds[1:])
-    lo, hi = bounds[0]
-    step = max(1, _SLAB // table.shape[1])
-    for start in range(0, len(lo), step):
-        rows = slice(start, start + step)
-        yield rows, table[hi[rows]] - table[lo[rows]]
-
-
 # ---------------------------------------------------------------------------
 # exact L2 (closed form)
 
@@ -221,9 +200,9 @@ def extreme_l2_exact(ps: PointSet, ws: WeightSet) -> DiscrepancyResult:
     g = (1.0 - ps.coords**3 - (1.0 - ps.coords) ** 3) / 6.0
     cross_term = float(w @ np.prod(g, axis=1))
     sq = pair_term - 2.0 * cross_term + 12.0**-d
-    if sq < -_L2_NEG_TOL:
-        raise InternalConsistencyError(f"squared L2 total {sq} is negative")
-    return DiscrepancyResult(math.sqrt(max(sq, 0.0)), 2.0, Method.L2_EXACT)
+    if not sq > 0.0:
+        raise InternalConsistencyError(f"squared L2 total {sq} is not positive")
+    return DiscrepancyResult(math.sqrt(sq), 2.0, Method.L2_EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +266,17 @@ def extreme_lp_exact_even_p(
     coeffs = [math.comb(p, i) * (-1) ** i for i in range(p + 1)]
     # the i = p term has counts^0 = 1, so its row sums are all one constant
     rest_total = np.sum(rest[p])
+    # the counts: the table differenced over axes 1.., then per slab of
+    # about _SLAB counts one gather and one subtract over axis 0
+    table = _difference_rest(cd.prefix_weights(ws.values), [(s + 1, t + 1) for s, t in pairs[1:]])
+    lo, hi = pairs[0][0] + 1, pairs[0][1] + 1
+    step = max(1, _SLAB // table.shape[1])
     # one part per (axis-0 pair, binomial term); the terms alternate in
     # sign and cancel, so they are summed exactly by fsum
     parts: list[np.ndarray] = []
-    bounds = [(s + 1, t + 1) for s, t in pairs]
-    for rows, counts in _box_counts(cd.prefix_weights(ws.values), bounds):
+    for start in range(0, len(lo), step):
+        rows = slice(start, start + step)
+        counts = table[hi[rows]] - table[lo[rows]]
         for i in range(p + 1):
             if i == p:
                 sums = rest_total
@@ -300,9 +285,9 @@ def extreme_lp_exact_even_p(
                 sums = np.sum(power * rest[i], axis=1)
             parts.append(coeffs[i] * moments[0][i][rows] * sums)
     total = math.fsum(chain.from_iterable(parts))
-    if total < -_L2_NEG_TOL:
-        raise InternalConsistencyError(f"p-th power total {total} is negative")
-    return DiscrepancyResult(max(total, 0.0) ** (1.0 / p), float(p), Method.EVEN_P_EXACT)
+    if not total > 0.0:
+        raise InternalConsistencyError(f"p-th power total {total} is not positive")
+    return DiscrepancyResult(total ** (1.0 / p), float(p), Method.EVEN_P_EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -455,26 +440,27 @@ def _sums(y: np.ndarray) -> tuple[float, float]:
     return float(np.sum(y)), float(np.sum(y * y))
 
 
-def _mean_stderr(sums: list[tuple[float, float]], samples: int) -> tuple[float, float]:
-    """Sample mean and its standard error from per-chunk (sum y, sum y^2)."""
-    total = math.fsum(s[0] for s in sums)
-    total_sq = math.fsum(s[1] for s in sums)
-    var = max(total_sq - total * total / samples, 0.0) / (samples - 1)
-    return total / samples, math.sqrt(var / samples)
-
-
 def _lp_moment(
     ps: PointSet, ws: WeightSet, p: float, samples: int, seed: int, workers: int
 ) -> tuple[float, float]:
     """Sampled integral of |delta|^p over the box pairs, and its stderr.
 
-    Both are 2^-d times the sample mean and its stderr; a power-of-two
-    scale is exact, so where it is applied does not change a bit.
+    Both are 2^-d times the sample mean and its stderr, from the per-chunk
+    (sum y, sum y^2) of y = |delta|^p summed in chunk order; a power-of-two
+    scale is exact, so where it is applied does not change a bit.  When
+    the squares sum below the smallest normal float the sample holds no
+    usable estimate, and this raises.
     """
     sums = _sample(ps, ws, samples, seed, workers, lambda delta: _sums(np.abs(delta) ** p))
-    mean, se_mean = _mean_stderr(sums, samples)
+    total = math.fsum(s[0] for s in sums)
+    total_sq = math.fsum(s[1] for s in sums)
+    if total_sq < sys.float_info.min:
+        raise InvalidInputError(
+            f"sampled |delta|^p underflows at p = {p}, d = {ps.d}: no estimate in binary64"
+        )
+    var = max(total_sq - total * total / samples, 0.0) / (samples - 1)
     scale = 2.0**-ps.d
-    return scale * mean, scale * se_mean
+    return scale * (total / samples), scale * math.sqrt(var / samples)
 
 
 def extreme_lp_mc(
@@ -496,14 +482,8 @@ def extreme_lp_mc(
     _check_exponent(Method.MC, p)
     _check_sampling(ps, ws, samples, workers, least=2)
     raw, se_raw = _lp_moment(ps, ws, p, samples, seed, workers)
-    if raw > 0.0:
-        value = raw ** (1.0 / p)
-        stderr = (1.0 / p) * raw ** (1.0 / p - 1.0) * se_raw
-    else:
-        # degenerate sample: report the raw-mean stderr, the delta method
-        # has no finite slope at zero
-        value = 0.0
-        stderr = se_raw
+    value = raw ** (1.0 / p)
+    stderr = (1.0 / p) * raw ** (1.0 / p - 1.0) * se_raw
     return DiscrepancyResult(value, p, Method.MC, stderr=stderr, samples=samples, seed=seed)
 
 

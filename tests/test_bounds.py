@@ -278,3 +278,21 @@ class TestDiagnostics:
             envelope_stationary_point(1.0)
         with pytest.raises(InvalidInputError):
             log_curvature_at_half(1.0)
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (min_points_lower_bound, (2.0, 3, -0.1), "eps must be >= 0"),
+        (min_points_lower_bound, (2.0, 3, math.nan), "eps must be >= 0"),
+        (min_points_lower_bound, (2.0, 0, 0.1), "dimension must be at least 1"),
+        (error_lower_bound, (2.0, 0, 4), "dimension must be at least 1"),
+        (error_lower_bound, (2.0, 3, -1), "n must be >= 0"),
+        (nw10_l2_lower, (0.1, 0), "dimension must be at least 1"),
+        (nw10_l2_lower, (2.0, 3), r"eps must lie in \[0, 1\]"),
+        (nw10_l2_lower, (math.nan, 3), r"eps must lie in \[0, 1\]"),
+    ],
+)
+def test_bound_arguments_checked(fn, args, message):
+    with pytest.raises(InvalidInputError, match=message):
+        fn(*args)

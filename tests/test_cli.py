@@ -1,6 +1,8 @@
 """Command line interface: schemas, conjugate handling, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -18,19 +20,21 @@ from extdisc import (
     load_points,
     save_points,
 )
-from extdisc.cli import _exponent
+from extdisc.cli import _exponent, main
 
 RESULT_KEYS = {"task", "p", "d", "n", "method", "value", "stderr", "samples", "seed"}
 RESULT_REQUIRED = {"task", "p", "d", "n", "method", "value"}
 
 
 def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "extdisc.cli", *map(str, args)],
-        capture_output=True,
-        text=True,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    """Exit code, stdout and stderr of `extdisc` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in args])
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def check_result_schema(obj):
@@ -118,6 +122,30 @@ class TestDisc:
             extreme_l2_exact(ps, equal_weights(2)).value
         )
         assert json.loads(a[1])["value"] != json.loads(b[1])["value"]
+
+    def test_qmc_weights_keep_an_empty_rule(self, empty_file):
+        # an empty rule has no 1/n weights to force: the flag changes nothing
+        argv = ("disc", "--input", empty_file, "--d", "2", "--method", "l2-exact")
+        plain, forced = run_cli(*argv), run_cli(*argv, "--weights", "qmc")
+        assert plain == forced
+        assert plain[0] == 0 and json.loads(plain[1])["value"] == 0.08333333333333333
+
+    def test_cancelled_even_p_total_exit_code(self, tmp_path):
+        # the binomial terms cancel to a total <= 0 (ROADMAP item 2)
+        f = tmp_path / "vdc64x2.csv"
+        assert run_cli("generate", "--kind", "vdc", "--n", "64", "--d", "2", "--out", f)[0] == 0
+        code, out, err = run_cli("disc", "--input", f, "--p", "12", "--method", "even-exact")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and "not positive" in err
+
+    def test_sampled_underflow_exit_code(self, one_center):
+        # the sampled |delta|^(1e6) underflow; the true value is 0.99997
+        code, out, err = run_cli(
+            "disc", "--input", one_center, "--p", "1e6",
+            "--method", "mc", "--samples", "1000", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "underflows" in err
 
     def test_even_exact(self, two_points):
         code, out, _ = run_cli("disc", "--input", two_points, "--p", "4", "--method", "even-exact")
@@ -327,6 +355,15 @@ class TestDualityCheck:
             assert code == 0, err
             assert json.loads(out)["norm_method"] == method
 
+    def test_cancelled_norm_exit_code(self, tmp_path):
+        f = tmp_path / "vdc512x1.csv"
+        assert run_cli("generate", "--kind", "vdc", "--n", "512", "--d", "1", "--out", f)[0] == 0
+        code, out, err = run_cli(
+            "duality-check", "--input", f, "--p", "6", "--samples", "1000", "--seed", "1"
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and "not positive" in err
+
     def test_zero_workers_exit_code(self, one_center):
         sampled = ("--input", one_center, "--p", "2", "--samples", "1000", "--seed", "1")
         assert run_cli("disc", *sampled, "--method", "mc", "--workers", "0")[0] == 2
@@ -387,3 +424,18 @@ class TestGenerate:
 
 def test_unknown_command_exits_2():
     assert run_cli("frobnicate")[0] == 2
+
+
+def test_module_entry_point(one_center):
+    # the other tests call main() in-process; this one runs `python -m extdisc.cli`
+    def run(*args):
+        cmd = [sys.executable, "-m", "extdisc.cli", *map(str, args)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    argv = ("disc", "--input", one_center, "--method", "l2-exact")
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    check_result_schema(json.loads(out))
+    assert out == run_cli(*argv)[1]
+    assert run("disc", "--input", "no_such.csv", "--method", "l2-exact")[0] == 2

@@ -13,6 +13,7 @@ from scipy import stats
 from extdisc import (
     BoxPair,
     DiscrepancyResult,
+    InternalConsistencyError,
     InvalidInputError,
     Method,
     PointSet,
@@ -660,3 +661,43 @@ class TestPointFiles:
                 ps2, ws2 = load_points(tmp_path / "w.csv")
                 assert ps2.coords.tobytes() == ps.coords.tobytes()
                 assert ws2.values.tobytes() == ws.values.tobytes()
+
+
+def _header_only_weight(tmp):
+    f = tmp / "h.csv"
+    f.write_text("weight\n0.5\n")
+    return load_points(f)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda tmp: PointSet(np.empty((2, 0))), InvalidInputError, "dimension must be at least 1"),
+        (lambda tmp: WeightSet(np.ones((2, 1)), WeightKind.GENERAL), InvalidInputError, "1-d array"),
+        (lambda tmp: WeightSet([0.5, np.nan], WeightKind.GENERAL), InvalidInputError, "finite"),
+        (lambda tmp: WeightSet([0.5, np.inf], WeightKind.GENERAL), InvalidInputError, "finite"),
+        (lambda tmp: equal_weights(0), InvalidInputError, "equal weights need n >= 1"),
+        (lambda tmp: BoxPair([0.1], [0.2, 0.3]), InvalidInputError, "1-d arrays of equal length"),
+        (lambda tmp: BoxPair([], []), InvalidInputError, "box dimension must be at least 1"),
+        (
+            lambda tmp: DiscrepancyResult(-1.0, 2.0, Method.L2_EXACT),
+            InternalConsistencyError,
+            "negative discrepancy value -1.0",
+        ),
+        (
+            lambda tmp: DiscrepancyResult(math.nan, 2.0, Method.L2_EXACT),
+            InternalConsistencyError,
+            "negative discrepancy value nan",
+        ),
+        (
+            lambda tmp: local_discrepancy_batch([0.5], [1.0], [[0.0]], [[1.0]]),
+            InvalidInputError,
+            r"coords must be a 2-d array of shape \(n, d\)",
+        ),
+        (lambda tmp: substream(1, -1), InvalidInputError, "substream index must be >= 0"),
+        (_header_only_weight, InvalidInputError, "line 1: header has no coordinate columns"),
+    ],
+)
+def test_constructor_and_argument_checks(tmp_path, make, error, message):
+    with pytest.raises(error, match=message):
+        make(tmp_path)

@@ -366,3 +366,9 @@ class TestDualityAudit:
         ps = PointSet([[0.5]])
         with pytest.raises(InvalidInputError):
             duality_gap_mc(ps, equal_weights(1), 1.0, 1000, seed=0)
+
+
+@pytest.mark.parametrize("norm_p", [0.0, math.nan])
+def test_representer_needs_positive_norm(norm_p):
+    with pytest.raises(InvalidInputError, match="norm_p must be positive for p > 1"):
+        representer_value(2.0, 0.1, norm_p)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from extdisc import (
     BudgetExceededError,
+    InternalConsistencyError,
     InvalidInputError,
     Method,
     PointSet,
@@ -636,6 +637,42 @@ class TestMonteCarloContract:
         assert res.samples == 5_000 and res.seed == 3 and res.stderr > 0
         low = extreme_linf_lower_mc(ps, equal_weights(1), 1_000, seed=3)
         assert low.method is Method.LINF_SAMPLED and low.stderr == 0.0
+
+
+class TestNoZeroResults:
+    """A finite rule misses boxes of positive volume, so no engine reports 0.0."""
+
+    @pytest.mark.parametrize(
+        "n, d, p", [(64, 2, 12), (32, 1, 12), (64, 1, 8), (64, 1, 12), (512, 1, 6), (512, 1, 8)]
+    )
+    def test_cancelled_even_p_total_raises(self, n, d, p):
+        # the binomial terms cancel to a total <= 0 (ROADMAP item 2)
+        ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, n, d))
+        with pytest.raises(InternalConsistencyError, match="p-th power total .* is not positive"):
+            extreme_lp_exact_even_p(ps, ws, p)
+
+    @pytest.mark.parametrize("d, p", [(96, 4), (128, 4), (200, 4), (100, 8)])
+    def test_sampled_underflow_raises(self, d, p):
+        # the squares of |delta|^p underflow, and at d = 200 |delta|^p itself
+        ps, ws = generate(GeneratorSpec(GeneratorKind.RANDOM, 32, d, seed=1))
+        with pytest.raises(InvalidInputError, match=f"underflows at p = {float(p)}, d = {d}"):
+            extreme_lp_mc(ps, ws, p, 20_000, seed=1)
+
+    def test_sampled_value_before_underflow(self):
+        ps, ws = generate(GeneratorSpec(GeneratorKind.RANDOM, 32, 64, seed=1))
+        res = extreme_lp_mc(ps, ws, 4.0, 20_000, seed=1)
+        assert res.value > 0.0 and res.stderr > 0.0
+
+    def test_audit_underflow_raises(self):
+        # p = 2: the exact norm is positive and the sampled pairing underflows
+        ps, ws = generate(GeneratorSpec(GeneratorKind.RANDOM, 32, 200, seed=1))
+        assert extreme_l2_exact(ps, ws).value > 0.0
+        with pytest.raises(InvalidInputError, match="underflows at p = 2.0, d = 200"):
+            duality_gap_mc(ps, ws, 2.0, 20_000, seed=1)
+        # p = 4: the sampled norm underflows first, through the same reduction
+        ps, ws = generate(GeneratorSpec(GeneratorKind.RANDOM, 32, 96, seed=1))
+        with pytest.raises(InvalidInputError, match="underflows at p = 4.0, d = 96"):
+            duality_gap_mc(ps, ws, 4.0, 20_000, seed=1)
 
 
 class TestGuards:

@@ -125,3 +125,10 @@ class TestLowDiscrepancyBeatRandom:
             rps, rws = gen("random", n, 1, seed=seed)
             rand_vals.append(extreme_l2_exact(rps, rws).value)
         assert vdc_val < np.mean(rand_vals)
+
+
+@pytest.mark.parametrize("d", [42, 50])
+def test_vdc_dimension_limit(d):
+    # the k/n axis plus one radical-inverse axis for each of 40 primes
+    with pytest.raises(InvalidInputError, match="vdc generator supports d <= 41"):
+        gen("vdc", 4, d)
