@@ -42,6 +42,7 @@ from .core import (
 )
 from .dual import conjugate_exponent, duality_gap_mc
 from .engines import (
+    _EXPONENT_RULES,
     _check_exponent,
     extreme_l2_exact,
     extreme_linf_exact,
@@ -94,16 +95,12 @@ def _add_pq(sub: argparse.ArgumentParser) -> None:
 # disc
 
 
-# the exponent of a method that implies one, when neither --p nor --q is given
-_IMPLIED_P = {Method.L2_EXACT: 2.0, Method.LINF_EXACT: math.inf, Method.LINF_SAMPLED: math.inf}
-
-
 def cmd_disc(args) -> int:
     ps, ws = load_points(args.input, d=args.d)
     if args.weights == "qmc" and ps.n:  # an empty rule has no 1/n weights to force
         ws = equal_weights(ps.n)
     method = Method(args.method)
-    p = _resolve_p(args, default=_IMPLIED_P.get(method))
+    p = _resolve_p(args, default=_EXPONENT_RULES[method][2])
     _check_exponent(method, p)
     if method in _RANDOMIZED:
         _need_sampling(args)

@@ -307,7 +307,7 @@ def duality_gap_mc(
     reported with a delta-free z-score.
     """
     p = _check_p_over_1(p, "duality audit needs p > 1 (q finite)")
-    _check_sampling(ps, ws, samples, workers, least=2)
+    _check_sampling(ps, ws, samples, seed, workers, least=2)
     if _accepts(Method.L2_EXACT, p):
         res = extreme_l2_exact(ps, ws)
     elif _accepts(Method.EVEN_P_EXACT, p) and (

@@ -62,13 +62,17 @@ DEFAULT_BOX_BUDGET = 10**8
 _SLAB = 1 << 16
 
 
-# (accepted exponents, test) per method, shared by the engines, dual and the CLI
+# method -> (accepted p, test, p implied when none is given), for the engines, dual and CLI
 _EXPONENT_RULES = {
-    Method.L2_EXACT: ("p = 2", lambda p: p == 2),
-    Method.EVEN_P_EXACT: ("an even integer p >= 2", lambda p: 2 <= p < math.inf and p % 2 == 0),
-    Method.MC: ("1 <= p < inf", lambda p: 1 <= p < math.inf),
-    Method.LINF_EXACT: ("p = inf", lambda p: p == math.inf),
-    Method.LINF_SAMPLED: ("p = inf", lambda p: p == math.inf),
+    Method.L2_EXACT: ("p = 2", lambda p: p == 2, 2.0),
+    Method.EVEN_P_EXACT: (
+        "an even integer p >= 2",
+        lambda p: 2 <= p < math.inf and p % 2 == 0,
+        None,
+    ),
+    Method.MC: ("1 <= p < inf", lambda p: 1 <= p < math.inf, None),
+    Method.LINF_EXACT: ("p = inf", lambda p: p == math.inf, math.inf),
+    Method.LINF_SAMPLED: ("p = inf", lambda p: p == math.inf, math.inf),
 }
 
 
@@ -304,9 +308,9 @@ def extreme_linf_exact(
     taking every ordered grid pair (u, v) with closed counts
     g_u <= x <= g_v (positive side) and open counts g_u < x < g_v
     (negative side: boxes shrink onto a cell closure from inside) is exact
-    for any real weights.  `_linf_side` finds each side's maximum in
-    O(grid lines) per range of axes 1.. instead of O(grid pairs);
-    `box_budget` still caps the number of grid pairs.
+    for any real weights.  Both sides read one table differenced over axes
+    1..; `_linf_side` finds each side's maximum in O(grid lines) per column
+    of it instead of O(grid pairs); `box_budget` caps the grid pairs.
     """
     _check_pair(ps, ws)
     _check_budget(box_budget)
@@ -319,85 +323,85 @@ def extreme_linf_exact(
             f"{nboxes} boxes exceed budget {box_budget} (a {nbytes}-byte differenced "
             "table); use extreme_linf_lower_mc instead"
         )
-    # ordered grid pairs (u, v), u <= v, lexicographic on axes 1..
-    pairs = [np.triu_indices(len(g)) for g in cd.gammas[1:]]
-    sides = [g[v] - g[u] for g, (u, v) in zip(cd.gammas[1:], pairs)]
-    rest_side = np.ravel(reduce(np.multiply.outer, sides, 1.0))
     prefix = cd.prefix_weights(ws.values)
-    closed = [(u, v + 1) for u, v in pairs]
-    # an open range with v <= u + 1 is empty: hi = max(v, u + 1) makes it so
-    opened = [(u + 1, np.maximum(v, u + 1)) for u, v in pairs]
-    # 0.0 is the value of the open boxes with u = v on axis 0, which are
-    # empty, have volume 0 and are skipped by _linf_side
-    best = 0.0
-    for sign, rest_bounds in ((1.0, closed), (-1.0, opened)):
-        best = max(best, _linf_side(prefix, rest_bounds, cd.gammas[0], rest_side, sign))
-    return DiscrepancyResult(best, math.inf, Method.LINF_EXACT)
-
-
-def _linf_side(prefix, rest_bounds, g, rest_side, sign: float) -> float:
-    """Largest sign * (count - volume) over one side's grid boxes.
-
-    With T column c of the table differenced over axes 1.. and R its
-    side product, the value of axis-0 pair (u, v) splits as A[v] - B[u]:
-    closed (u <= v) A[v] = T[v+1] - g_v R, B[u] = T[u] - g_u R; open
-    (u < v) A[v] = g_v R - T[v], B[u] = g_u R - T[u+1].  A running minimum
-    of B gives M[v] = max over u of A[v] - B[u] in O(grid lines) per
-    column.  M is rounded differently from the direct box value
-    sign * ((T[hi] - T[lo]) - (g_v - g_u) R), but within tau of it, so the
-    argmax box is among the (v, c) with M >= (largest M so far) - 2 tau;
-    `_recheck_linf` evaluates those directly over every u, which makes the
-    result the same float as the largest direct value over all boxes.
-    """
     # each entry of the table is a +- sum of 2^(d-1) prefix entries, so
     # |T| <= big, and |g R| <= 1; the two roundings of a box value differ by
     # at most (8 big + 9) eps, and tau leaves a factor 2 for the rest
     big = 2.0 ** (prefix.ndim - 1) * max(float(prefix.max()), -float(prefix.min()))
     tau = 16.0 * np.finfo(np.float64).eps * (big + 1.0)
-    table = _difference_rest(prefix, rest_bounds)
+    # column c of the table holds the points in closed range combination c
+    # of axes 1.. (grid pairs u <= v, lexicographic); where 0 < u and
+    # v < B - 1 on every axis, the open ranges (u - 1, v + 1) hold the same
+    pairs = [np.triu_indices(len(g)) for g in cd.gammas[1:]]
+    t = _difference_rest(prefix, [(u, v + 1) for u, v in pairs])
+    inner = [(0 < u) & (v < len(g) - 1) for g, (u, v) in zip(cd.gammas[1:], pairs)]
+    closed = [g[v] - g[u] for g, (u, v) in zip(cd.gammas[1:], pairs)]
+    opened = [g[v[k] + 1] - g[u[k] - 1] for g, (u, v), k in zip(cd.gammas[1:], pairs, inner)]
+    open_cols = np.flatnonzero(reduce(np.logical_and.outer, inner, True))
+    # an open range with no grid line inside holds no point, so the best
+    # such box is the widest gap of an axis >= 1 times 1 on the others
+    best = max((float(np.diff(g).max()) for g in cd.gammas[1:]), default=0.0)
+    g = cd.gammas[0]
+    for sign, cols, sides, low, high in (
+        (1.0, np.arange(t.shape[1]), closed, (t[:-1], g), (t[1:], g)),
+        (-1.0, open_cols, opened, (t[1:-1], g[:-1]), (t[1:-1], g[1:])),
+    ):
+        rest_side = np.ravel(reduce(np.multiply.outer, sides, 1.0))
+        best = max(best, _linf_side(low, high, cols, rest_side, sign, tau))
+    return DiscrepancyResult(best, math.inf, Method.LINF_EXACT)
+
+
+def _linf_side(low, high, cols, rest_side, sign: float, tau: float) -> float:
+    """Largest sign * ((U[j] - L[i]) - (hi[j] - lo[i]) R) over rows i <= j.
+
+    low = (L, lo) and high = (U, hi) pair rows of the differenced table
+    with their axis-0 grid lines; the columns are cols, R = rest_side[k]
+    the side product of column cols[k].  The value splits as A[j] - B[i]
+    with A = sign (U - hi R), B = sign (L - lo R), and a running minimum of
+    B gives M[j] = max over i of A[j] - B[i] in O(grid lines) per column.
+    M is rounded differently from the direct value, but within tau of it,
+    so the argmax box is among the (j, k) with M >= (largest M so far) -
+    2 tau; `_recheck_linf` evaluates those directly over every i, which
+    makes the result the same float as the largest direct value.
+    """
+    (lower, lo), (upper, hi) = low, high
     top = best = -math.inf
-    step = max(1, _SLAB // len(table))
-    for start in range(0, table.shape[1], step):
-        cols = slice(start, start + step)
-        t, r = table[:, cols], rest_side[cols]
-        gr = np.multiply.outer(g, r)
-        if sign > 0:
-            low, m = t[:-1] - gr, t[1:] - gr
-        else:
-            # row i of low is u = i and row i of m is v = i + 1
-            low, m = gr[:-1] - t[1:-1], gr[1:] - t[1:-1]
+    step = max(1, _SLAB // len(lo))
+    for start in range(0, len(cols), step):
+        c, r = cols[start : start + step], rest_side[start : start + step]
+        b = np.take(lower, c, axis=1)
+        b -= np.multiply.outer(lo, r)
+        b *= sign
+        m = np.take(upper, c, axis=1)
+        m -= np.multiply.outer(hi, r)
+        m *= sign
         # a row loop: np.minimum.accumulate(axis=0) is about 10x slower
-        for i in range(1, len(low)):
-            np.minimum(low[i - 1], low[i], out=low[i])
-        m -= low
+        for i in range(1, len(b)):
+            np.minimum(b[i - 1], b[i], out=b[i])
+        m -= b
         peak = float(m.max())
         top = max(top, peak)
         if peak >= top - 2.0 * tau:
-            v, c = np.nonzero(m >= top - 2.0 * tau)
-            if sign < 0:
-                v += 1
-            best = max(best, _recheck_linf(table, g, rest_side, sign, v, c + start))
+            j, k = np.nonzero(m >= top - 2.0 * tau)
+            best = max(best, _recheck_linf(low, high, cols, rest_side, sign, j, k + start))
     return best
 
 
-def _recheck_linf(table, g, rest_side, sign: float, v, c) -> float:
-    """Largest direct value over u of the boxes (u, v[i], column c[i]).
+def _recheck_linf(low, high, cols, rest_side, sign: float, j, k) -> float:
+    """Largest direct value over i <= j[q] of the boxes (i, j[q], column cols[k[q]]).
 
-    The direct value is sign * ((T[hi] - T[lo]) - (g_v - g_u) R), as in
-    `_linf_side`; the candidates are evaluated in pieces of about _SLAB
-    boxes.
+    The direct value is the one `_linf_side` maximises; the candidates are
+    evaluated in pieces of about _SLAB boxes.
     """
+    (lower, lo), (upper, hi) = low, high
     best = -math.inf
-    u = np.arange(len(g))
-    step = max(1, _SLAB // len(g))
-    for start in range(0, len(v), step):
-        vv, cc = v[start : start + step, None], c[start : start + step, None]
-        if sign > 0:
-            counts, keep = table[vv + 1, cc] - table[u, cc], u <= vv
-        else:
-            counts, keep = table[vv, cc] - table[u + 1, cc], u < vv
-        vals = sign * (counts - (g[vv] - g[u]) * rest_side[cc])
-        best = max(best, float(np.max(vals, where=keep, initial=-math.inf)))
+    i = np.arange(len(lo))
+    step = max(1, _SLAB // len(lo))
+    for start in range(0, len(j), step):
+        jj, kk = j[start : start + step, None], k[start : start + step, None]
+        counts = upper[jj, cols[kk]] - lower[i, cols[kk]]
+        vals = sign * (counts - (hi[jj] - lo[i]) * rest_side[kk])
+        best = max(best, float(np.max(vals, where=i <= jj, initial=-math.inf)))
     return best
 
 
@@ -405,12 +409,13 @@ def _recheck_linf(table, g, rest_side, sign: float, v, c) -> float:
 # Monte Carlo
 
 
-def _check_sampling(ps: PointSet, ws: WeightSet, samples, workers: int, least: int) -> None:
+def _check_sampling(ps: PointSet, ws: WeightSet, samples, seed, workers, least: int) -> None:
     _check_pair(ps, ws)
-    if not (isinstance(samples, (int, np.integer)) and samples >= least):
-        raise InvalidInputError(f"samples must be an integer >= {least}, got {samples!r}")
-    if workers < 1:
-        raise InvalidInputError("workers must be >= 1")
+    for name, value, low in (("samples", samples, least), ("workers", workers, 1)):
+        if not (isinstance(value, (int, np.integer)) and value >= low):
+            raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+    if not isinstance(seed, (int, np.integer)):
+        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
 
 
 def _sample(ps: PointSet, ws: WeightSet, samples: int, seed: int, workers: int, per_chunk) -> list:
@@ -480,7 +485,7 @@ def extreme_lp_mc(
     """
     p = float(p)
     _check_exponent(Method.MC, p)
-    _check_sampling(ps, ws, samples, workers, least=2)
+    _check_sampling(ps, ws, samples, seed, workers, least=2)
     raw, se_raw = _lp_moment(ps, ws, p, samples, seed, workers)
     value = raw ** (1.0 / p)
     stderr = (1.0 / p) * raw ** (1.0 / p - 1.0) * se_raw
@@ -500,7 +505,7 @@ def extreme_linf_lower_mc(
     supremum, so the reported value is a certified lower bound; stderr is
     0.0 by convention since a sample maximum carries no error estimate.
     """
-    _check_sampling(ps, ws, samples, workers, least=1)
+    _check_sampling(ps, ws, samples, seed, workers, least=1)
     maxima = _sample(ps, ws, samples, seed, workers, lambda delta: float(np.max(np.abs(delta))))
     return DiscrepancyResult(
         max(maxima), math.inf, Method.LINF_SAMPLED, stderr=0.0, samples=samples, seed=seed

@@ -399,8 +399,8 @@ def test_exact_engines_match_membership_reference(n, d, grid, shared, dyadic, se
 def test_linf_matches_slab_reference_bit_for_bit(data, seed):
     # the running-minimum scan re-evaluates its candidates with the slab
     # engine's arithmetic, so the two agree exactly for any weights
-    d = data.draw(st.integers(1, 3), label="d")
-    n = data.draw(st.integers(0, 40 if d < 3 else 14), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    n = data.draw(st.integers(0, {1: 40, 2: 40, 3: 14, 4: 6}[d]), label="n")
     grid = data.draw(st.sampled_from([2, 4, 10, 97, 1 << 30]), label="grid")
     kind = data.draw(st.sampled_from(["dyadic", "gaussian", "signed", "equal"]), label="kind")
     repeat = data.draw(st.sampled_from(["none", "shared", "duplicated"]), label="repeat")
@@ -451,6 +451,36 @@ def test_linf_outputs_are_pinned(rule):
     assert got == reference_slab_linf(ps, ws)
 
 
+@pytest.mark.parametrize(
+    "point, want",
+    [((0.5, 0.05), 0.95), ((0.5, 0.0), 1.0), ((0.5, 0.05, 0.5), 0.95), ((0.5, 0.5, 0.0), 1.0)],
+)
+def test_linf_widest_gap_is_the_answer(point, want):
+    # the best box is an open range with no grid line inside on one axis
+    # >= 1: the gap (0.05, 1) holds no point, and an axis whose only lines
+    # are 0 and 1 has no interior line, so the whole (0, 1) is empty there
+    ps = PointSet(np.array([point]))
+    ws = WeightSet(np.array([0.5]), WeightKind.NONNEG)
+    assert extreme_linf_exact(ps, ws).value == want == reference_slab_linf(ps, ws)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_linf_differences_the_table_once(d, monkeypatch):
+    # both sides read one table: the open range (u - 1, v + 1) on an axis
+    # >= 1 holds the points of the closed range (u, v)
+    calls = []
+    difference_rest = engines._difference_rest
+
+    def counting(*args):
+        calls.append(1)
+        return difference_rest(*args)
+
+    monkeypatch.setattr(engines, "_difference_rest", counting)
+    ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, 6, d))
+    extreme_linf_exact(ps, ws)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n, p", [(16, 2), (16, 4), (32, 2), (32, 4), (64, 2), (64, 4), (512, 2)])
 def test_even_p_matches_rational_oracle(n, p):
     ps, ws = vdc_1d(n)
@@ -465,14 +495,16 @@ def test_even_p_matches_rational_oracle(n, p):
         (lambda ps, ws: extreme_lp_exact_even_p(ps, ws, 2), 512, 1, 64),
         (extreme_linf_exact, 100, 2, 11),
         (extreme_linf_exact, 20, 3, 24),
+        (extreme_linf_exact, 10, 4, 60),
     ],
-    ids=["l2-4096x8", "even2-512x1", "linf-100x2", "linf-20x3"],
+    ids=["l2-4096x8", "even2-512x1", "linf-100x2", "linf-20x3", "linf-10x4"],
 )
 def test_exact_memory_is_bounded(engine, n, d, mib):
     # dense forms need an n x n kernel (128 MiB per array at n = 4096) or a
     # (cells x n) membership matrix (540 MB at n = 512, d = 1); the sup norm
-    # holds its differenced table (4 MiB at 100x2, 9 MiB at 20x3) and must
-    # not add a second one, e.g. a full (grid lines x columns) temporary
+    # holds its differenced table (4 MiB at 100x2, 9 MiB at 20x3, 26 MiB at
+    # 10x4) and must not add a second one, e.g. a full (grid lines x columns)
+    # temporary
     ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, n, d))
     tracemalloc.start()
     try:
@@ -743,3 +775,27 @@ class TestGuards:
         with pytest.raises(InvalidInputError, match="integer"):
             extreme_linf_lower_mc(ps, equal_weights(1), 1e5, seed=1)
         assert extreme_lp_mc(ps, equal_weights(1), 3.0, np.int64(3), seed=0).samples == 3
+
+    @pytest.mark.parametrize(
+        "workers, seed",
+        [(math.nan, 1), (2.5, 1), ("2", 1), (0, 1), (np.int64(0), 1), (1, 1.5), (1, math.nan)],
+    )
+    def test_non_integer_workers_or_seed_rejected(self, workers, seed):
+        # a NaN pool size would start no thread and hang; a float seed would
+        # silently draw the boxes of its integer part
+        ps, ws = PointSet([[0.5]]), equal_weights(1)
+        name = "seed" if workers == 1 else "workers"
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            extreme_lp_mc(ps, ws, 3.0, 100, seed, workers)
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            extreme_linf_lower_mc(ps, ws, 100, seed, workers)
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            duality_gap_mc(ps, ws, 3.0, 100, seed, workers)
+
+    def test_numpy_integer_workers_and_seed_accepted(self):
+        ps, ws = PointSet([[0.5]]), equal_weights(1)
+        plain = extreme_lp_mc(ps, ws, 3.0, 100, 4, 2)
+        numpy = extreme_lp_mc(ps, ws, 3.0, 100, np.int64(4), np.int32(2))
+        assert (numpy.value, numpy.stderr) == (plain.value, plain.stderr)
+        assert extreme_linf_lower_mc(ps, ws, 100, np.uint8(4), np.int64(2)).value > 0.0
+        assert duality_gap_mc(ps, ws, 3.0, 100, np.int64(4), np.int64(2)).pairing > 0.0
