@@ -155,8 +155,7 @@ def min_points_lower_bound(p: float, d: int, eps: float) -> float:
     Value C_p^d (1 - 2 eps), clipped at 0; exponential in d whenever
     eps < 1/2 since C_p > 1.
     """
-    if d < 1:
-        raise InvalidInputError("dimension must be at least 1")
+    _check_all(d, lambda d: d >= 1, "dimension must be at least 1")
     if not (0.0 <= eps):
         raise InvalidInputError("eps must be >= 0")
     return curse_base(p) ** d * max(1.0 - 2.0 * eps, 0.0)
@@ -167,10 +166,8 @@ def error_lower_bound(p: float, d: int, n: int) -> float:
 
     e0 (1 - n A_p^d)_+ / (2 max(1, n B_p^d)) with e0 the empty-rule value.
     """
-    if d < 1:
-        raise InvalidInputError("dimension must be at least 1")
-    if n < 0:
-        raise InvalidInputError("n must be >= 0")
+    _check_all(d, lambda d: d >= 1, "dimension must be at least 1")
+    _check_all(n, lambda n: n >= 0, "n must be >= 0")
     cc = curse_constants(p)
     e0 = initial_error(p, d)
     num = max(1.0 - n * cc.a_p**d, 0.0)
@@ -231,8 +228,7 @@ def gnewuch_linf_upper(eps: float, d: int) -> int:
     ceil(2 eps^-2 (2 d ln(10 e / eps) + ln 2)), valid for d >= 2; the
     sup-norm problem is only polynomially hard in d.
     """
-    if d < 2:
-        raise InvalidInputError("sup-norm upper bound needs d >= 2")
+    _check_all(d, lambda d: d >= 2, "sup-norm upper bound needs d >= 2")
     if not (0.0 < eps < 1.0):
         raise InvalidInputError("eps must lie in (0, 1)")
     return math.ceil(2.0 * eps**-2 * (2.0 * d * math.log(10.0 * math.e / eps) + math.log(2.0)))
@@ -240,8 +236,7 @@ def gnewuch_linf_upper(eps: float, d: int) -> int:
 
 def nw10_l2_lower(eps: float, d: int) -> float:
     """Points needed at p = 2 for GENERAL weights: (1 - eps^2) (9/4)^d."""
-    if d < 1:
-        raise InvalidInputError("dimension must be at least 1")
+    _check_all(d, lambda d: d >= 1, "dimension must be at least 1")
     if not (0.0 <= eps <= 1.0):
         raise InvalidInputError("eps must lie in [0, 1]")
     return (1.0 - eps**2) * 2.25**d

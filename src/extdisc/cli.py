@@ -85,12 +85,6 @@ def _config_comment(**fields) -> str:
     return "# config: " + json.dumps(fields)
 
 
-def _add_pq(sub: argparse.ArgumentParser) -> None:
-    grp = sub.add_mutually_exclusive_group()
-    grp.add_argument("--p", help="discrepancy exponent, a number >= 1 or 'inf'")
-    grp.add_argument("--q", help="conjugate exponent; equivalent to --p p/(p-1)")
-
-
 # ---------------------------------------------------------------------------
 # disc
 
@@ -133,11 +127,8 @@ def cmd_constants(args) -> int:
         raise InvalidInputError("need 1 <= p-min <= p-max < inf")
     if args.count < 1:
         raise InvalidInputError("count must be >= 1")
-    if args.count == 1:
-        grid = [args.p_min]
-    else:
-        step = (args.p_max - args.p_min) / (args.count - 1)
-        grid = [args.p_min + i * step for i in range(args.count)]
+    step = (args.p_max - args.p_min) / max(args.count - 1, 1)
+    grid = [args.p_min + i * step for i in range(args.count)]
     out = sys.stdout
     out.write(
         _config_comment(
@@ -288,19 +279,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="extdisc", description="extreme L_p discrepancy toolkit"
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # argument families shared by several subcommands
+    rule = argparse.ArgumentParser(add_help=False)
+    rule.add_argument("--input", required=True, help="CSV point file")
+    rule.add_argument("--d", type=int, help="dimension for empty or headerless files")
+    exponent = argparse.ArgumentParser(add_help=False)
+    grp = exponent.add_mutually_exclusive_group()
+    grp.add_argument("--p", help="discrepancy exponent, a number >= 1 or 'inf'")
+    grp.add_argument("--q", help="conjugate exponent; equivalent to --p p/(p-1)")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--samples", type=int, help="Monte Carlo sample count")
+    sampling.add_argument("--seed", type=int, help="stream seed; required when sampling")
+    sampling.add_argument("--workers", type=int, default=1, help="threads; output-neutral")
 
-    disc = subs.add_parser("disc", help="evaluate one discrepancy")
-    disc.add_argument("--input", required=True, help="CSV point file")
-    disc.add_argument("--d", type=int, help="dimension for empty or headerless files")
-    _add_pq(disc)
+    disc = subs.add_parser(
+        "disc", parents=[rule, exponent, sampling], help="evaluate one discrepancy"
+    )
     disc.add_argument(
         "--method",
         required=True,
         choices=[m.value for m in Method],
     )
-    disc.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    disc.add_argument("--seed", type=int, help="stream seed; required when sampling")
-    disc.add_argument("--workers", type=int, default=1, help="threads; output-neutral")
     disc.add_argument("--budget", type=int, help="cell/box budget for exact engines")
     disc.add_argument(
         "--weights",
@@ -316,27 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
     cons.add_argument("--count", type=int, default=50)
     cons.set_defaults(func=cmd_constants)
 
-    bnds = subs.add_parser("bounds", help="point-count bounds table")
-    _add_pq(bnds)
+    bnds = subs.add_parser("bounds", parents=[exponent], help="point-count bounds table")
     bnds.add_argument("--d-min", type=int, default=1, dest="d_min")
     bnds.add_argument("--d-max", type=int, required=True, dest="d_max")
     bnds.add_argument("--eps", type=float, required=True)
     bnds.set_defaults(func=cmd_bounds)
 
-    cert = subs.add_parser("certify", help="certified lower bound for a node set")
-    cert.add_argument("--input", required=True)
-    cert.add_argument("--d", type=int)
-    _add_pq(cert)
-    cert.set_defaults(func=cmd_certify)
+    subs.add_parser(
+        "certify", parents=[rule, exponent], help="certified lower bound for a node set"
+    ).set_defaults(func=cmd_certify)
 
-    dual = subs.add_parser("duality-check", help="sampled duality audit")
-    dual.add_argument("--input", required=True)
-    dual.add_argument("--d", type=int)
-    _add_pq(dual)
-    dual.add_argument("--samples", type=int)
-    dual.add_argument("--seed", type=int)
-    dual.add_argument("--workers", type=int, default=1)
-    dual.set_defaults(func=cmd_duality_check)
+    subs.add_parser(
+        "duality-check", parents=[rule, exponent, sampling], help="sampled duality audit"
+    ).set_defaults(func=cmd_duality_check)
 
     gen = subs.add_parser("generate", help="write a reference point set")
     gen.add_argument(
@@ -352,22 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# error class -> exit code; the first match wins (FileNotFoundError is an OSError)
+_EXIT_CODES = {
+    InvalidInputError: 2, BudgetExceededError: 3, InternalConsistencyError: 4, OSError: 2
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInputError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InternalConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -242,6 +242,12 @@ def _check_pair(ps: PointSet, ws: WeightSet) -> None:
         raise InvalidInputError("point set and weight set sizes differ")
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Raise unless value is an int or numpy integer >= low (NaN, inf, 2.5, "5" fail)."""
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def local_discrepancy(ps: PointSet, ws: WeightSet, box: BoxPair) -> float:
     """Weighted count of points in [lower, upper) minus the box volume.
 

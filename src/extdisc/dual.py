@@ -97,8 +97,7 @@ def initial_error(p: float, d: int) -> float:
     This is also the integral of the d-dim worst-case integrand, i.e. the
     error the zero algorithm makes on it.  For p = inf the value is 1.
     """
-    if d < 1:
-        raise InvalidInputError("dimension must be at least 1")
+    _check_all(d, lambda d: d >= 1, "dimension must be at least 1")
     p = float(p)
     if p == math.inf:
         return 1.0
@@ -178,13 +177,10 @@ def representer_value(p: float, delta, norm_p: float):
     """
     p = _check_finite_p(p)
     delta = np.asarray(delta, dtype=np.float64)
-    if p == 1.0:
-        v = np.sign(delta)
-        return float(v) if v.ndim == 0 else v
-    if not (norm_p > 0.0):
+    if p > 1.0 and not norm_p > 0.0:
         raise InvalidInputError("norm_p must be positive for p > 1")
     # |delta|^(p-2) delta written as sign(delta) |delta|^(p-1) so that
-    # delta = 0 evaluates to 0 for every p > 1 without special-casing
+    # delta = 0 evaluates to 0 for every p >= 1 without special-casing
     v = np.sign(delta) * np.abs(delta) ** (p - 1.0) / norm_p ** (p - 1.0)
     return float(v) if v.ndim == 0 else v
 

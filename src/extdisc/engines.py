@@ -49,6 +49,7 @@ from .core import (
     Method,
     PointSet,
     WeightSet,
+    _check_count,
     _check_pair,
     local_discrepancy_batch,
     sample_box_pairs,
@@ -84,11 +85,6 @@ def _check_exponent(method: Method, p) -> None:
     if not _accepts(method, p):
         text = _EXPONENT_RULES[method][0]
         raise InvalidInputError(f"{method.value} requires {text}, got p = {p}")
-
-
-def _check_budget(budget: int) -> None:
-    if budget < 1:
-        raise InvalidInputError(f"budget must be >= 1, got {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ def extreme_lp_exact_even_p(
     """
     _check_pair(ps, ws)
     _check_exponent(Method.EVEN_P_EXACT, p)
-    _check_budget(cell_budget)
+    _check_count("cell_budget", cell_budget, 1)
     p = int(p)
     if p + 1 > cell_budget:  # the work is at least p + 1 binomial terms
         raise BudgetExceededError(
@@ -313,7 +309,7 @@ def extreme_linf_exact(
     of it instead of O(grid pairs); `box_budget` caps the grid pairs.
     """
     _check_pair(ps, ws)
-    _check_budget(box_budget)
+    _check_count("box_budget", box_budget, 1)
     cd = CellDecomposition.from_points(ps)
     nboxes = cd.grid_pair_count()
     if nboxes > box_budget:
@@ -411,9 +407,8 @@ def _recheck_linf(low, high, cols, rest_side, sign: float, j, k) -> float:
 
 def _check_sampling(ps: PointSet, ws: WeightSet, samples, seed, workers, least: int) -> None:
     _check_pair(ps, ws)
-    for name, value, low in (("samples", samples, least), ("workers", workers, 1)):
-        if not (isinstance(value, (int, np.integer)) and value >= low):
-            raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+    _check_count("samples", samples, least)
+    _check_count("workers", workers, 1)
     if not isinstance(seed, (int, np.integer)):
         raise InvalidInputError(f"seed must be an integer, got {seed!r}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidInputError, PointSet, WeightSet, equal_weights, substream
+from .core import InvalidInputError, PointSet, WeightSet, _check_count, equal_weights, substream
 
 _PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -39,10 +39,8 @@ class GeneratorSpec:
     gen_vector: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidInputError("generators need n >= 1")
-        if self.d < 1:
-            raise InvalidInputError("generators need d >= 1")
+        _check_count("n", self.n, 1)
+        _check_count("d", self.d, 1)
 
 
 def radical_inverse(base: int, k) -> np.ndarray:

@@ -1,18 +1,22 @@
-"""Smoke test: the benchmark harness runs its exact workload, traced, and passes."""
+"""Smoke test: the benchmark harness runs its exact and CLI workloads, traced, and passes."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_exact_workload_runs_traced():
-    # a renamed traced function shows up in "absent", a broken exact-engine
-    # output check in "failed"
+@pytest.mark.parametrize("workload", ["exact", "cli"])
+def test_workload_runs_traced(workload):
+    # a renamed traced function shows up in "absent", a broken output check
+    # (an exact engine's value, or the CLI's stdout across worker counts) in
+    # "failed"
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "exact", "--seed", "1"]
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1"]
         + ["--seconds", "1", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,

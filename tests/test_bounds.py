@@ -291,6 +291,12 @@ class TestDiagnostics:
         (nw10_l2_lower, (0.1, 0), "dimension must be at least 1"),
         (nw10_l2_lower, (2.0, 3), r"eps must lie in \[0, 1\]"),
         (nw10_l2_lower, (math.nan, 3), r"eps must lie in \[0, 1\]"),
+        (min_points_lower_bound, (2.0, math.nan, 0.1), "dimension must be at least 1"),
+        (error_lower_bound, (2.0, math.nan, 4), "dimension must be at least 1"),
+        (error_lower_bound, (2.0, 3, math.nan), "n must be >= 0"),
+        (nw10_l2_lower, (0.1, math.nan), "dimension must be at least 1"),
+        (gnewuch_linf_upper, (0.1, 1), "sup-norm upper bound needs d >= 2"),
+        (gnewuch_linf_upper, (0.1, math.nan), "sup-norm upper bound needs d >= 2"),
     ],
 )
 def test_bound_arguments_checked(fn, args, message):

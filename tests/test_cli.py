@@ -426,6 +426,46 @@ def test_unknown_command_exits_2():
     assert run_cli("frobnicate")[0] == 2
 
 
+@pytest.mark.parametrize("command", ["certify", "duality-check"])
+def test_shared_flags_keep_their_help(command):
+    code, out, _ = run_cli(command, "--help")
+    assert code == 0
+    assert "CSV point file" in out and "dimension for empty or headerless files" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["disc", "--method", "l2-exact"],
+        ["certify"],
+        ["duality-check", "--samples", "100", "--seed", "1"],
+        ["bounds", "--d-max", "2", "--eps", "0.1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_p_and_q_are_exclusive(one_center, argv):
+    rule = [] if argv[0] == "bounds" else ["--input", one_center]
+    code, out, err = run_cli(*argv, *rule, "--p", "2", "--q", "2")
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["disc", "--input", "no_such.csv", "--method", "l2-exact"], 2),  # FileNotFoundError
+        (["disc", "--input", ".", "--method", "l2-exact"], 2),  # IsADirectoryError
+        (["generate", "--kind", "centered", "--n", "1", "--d", "2", "--out", "."], 2),
+        (["constants", "--p-min", "2", "--p-max", "3", "--count", "0"], 2),  # InvalidInputError
+    ],
+)
+def test_error_exit_codes(argv, code):
+    # BudgetExceededError (3) and InternalConsistencyError (4) are covered above
+    exit_code, out, err = run_cli(*argv)
+    assert (exit_code, out) == (code, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_module_entry_point(one_center):
     # the other tests call main() in-process; this one runs `python -m extdisc.cli`
     def run(*args):

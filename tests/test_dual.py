@@ -103,6 +103,9 @@ class TestWorstCase:
             worst_case_1d(2.0, 1.5)
         with pytest.raises(InvalidInputError):
             initial_error(2.0, 0)
+        with pytest.raises(InvalidInputError, match="dimension must be at least 1"):
+            initial_error(2, math.nan)
+        assert initial_error(2, 2.5) == 12.0**-1.25  # a real dimension is allowed
         with pytest.raises(InvalidInputError):
             worst_case_1d(math.inf, 0.5)
 
@@ -255,6 +258,11 @@ class TestRepresenter:
         assert representer_value(1.0, -0.2, 1.0) == -1.0
         assert representer_value(1.0, 0.7, 1.0) == 1.0
         assert representer_value(1.0, 0.0, 1.0) == 0.0
+        # p = 1 takes the general formula: sign(delta) bit for bit, any norm
+        delta = np.array([-0.0, 0.0, 1e-310, -1e-310, math.inf, -2.0, math.nan])
+        for norm in (1.0, 0.0, math.nan):
+            v = representer_value(1.0, delta, norm)
+            assert v.tobytes() == np.sign(delta).tobytes()
 
     def test_zero_delta_maps_to_zero(self):
         for p in (1.5, 2.0, 3.0):

@@ -745,8 +745,10 @@ class TestGuards:
         with pytest.raises(BudgetExceededError):
             duality_gap_mc(ps, ws, 1e30, 100, seed=1)
 
-    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("budget", [0, -5, math.nan, math.inf, 2.5, "5"])
     def test_budget_below_one_rejected(self, budget):
+        # only an int or numpy integer >= 1 is a budget: a NaN or infinite
+        # one would switch the cap off, and 2.5 or "5" are not counts
         ps = PointSet([[0.5]])
         ws = equal_weights(1)
         with pytest.raises(InvalidInputError, match="budget"):
@@ -799,3 +801,14 @@ class TestGuards:
         assert (numpy.value, numpy.stderr) == (plain.value, plain.stderr)
         assert extreme_linf_lower_mc(ps, ws, 100, np.uint8(4), np.int64(2)).value > 0.0
         assert duality_gap_mc(ps, ws, 3.0, 100, np.int64(4), np.int64(2)).pairing > 0.0
+
+    def test_numpy_integer_budgets_accepted(self):
+        ps = PointSet([[0.25, 0.5], [0.75, 0.125]])
+        ws = equal_weights(2)
+        for budget in (np.int64(10**6), np.uint32(10**6)):
+            assert extreme_lp_exact_even_p(ps, ws, 4, budget) == extreme_lp_exact_even_p(
+                ps, ws, 4, 10**6
+            )
+            assert extreme_linf_exact(ps, ws, budget) == extreme_linf_exact(ps, ws, 10**6)
+        with pytest.raises(BudgetExceededError):
+            extreme_linf_exact(ps, ws, np.int64(10))

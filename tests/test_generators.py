@@ -1,5 +1,7 @@
 """Reference point-set constructions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -109,10 +111,11 @@ class TestKinds:
             assert ws.kind is WeightKind.QMC
 
     def test_size_guards(self):
-        with pytest.raises(InvalidInputError):
-            GeneratorSpec(GeneratorKind.RANDOM, 0, 1, seed=1)
-        with pytest.raises(InvalidInputError):
-            GeneratorSpec(GeneratorKind.RANDOM, 4, 0, seed=1)
+        for bad in (0, math.nan, 2.5):
+            with pytest.raises(InvalidInputError, match="n must be an integer >= 1"):
+                GeneratorSpec(GeneratorKind.RANDOM, bad, 1, seed=1)
+            with pytest.raises(InvalidInputError, match="d must be an integer >= 1"):
+                GeneratorSpec(GeneratorKind.RANDOM, 4, bad, seed=1)
 
 
 class TestLowDiscrepancyBeatRandom:
