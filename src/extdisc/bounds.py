@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .core import InvalidInputError, PointSet
 from .dual import (
@@ -87,6 +86,8 @@ def _scan_grid() -> np.ndarray:
 
 def _norm_ratio_max_numeric(p: float) -> tuple[float, float]:
     """Scan-plus-refine maximum of the norm-ratio profile over (0, 1/2]."""
+    from scipy.optimize import minimize_scalar  # scipy loads only for p > 8
+
     grid = _scan_grid()
     vals = norm_ratio(p, grid)
     k = int(np.argmax(vals))
@@ -203,13 +204,9 @@ def certificate_lower_bound(ps: PointSet, p: float) -> Certificate:
     """
     p = _check_p_over_1(p, "certificate needs p > 1")
     e0 = initial_error(p, ps.d)
-    if ps.n:
-        halves = 0.5 * worst_case_1d(p, ps.coords)  # (n, d) node-wise spline integrals
-        interp = float(np.sum(np.prod(halves, axis=1)))
-        norms = spline_norm(p, ps.coords)
-        norm_sum = float(np.sum(np.prod(norms, axis=1)))
-    else:
-        interp = norm_sum = 0.0
+    halves = 0.5 * worst_case_1d(p, ps.coords)  # (n, d) node-wise spline integrals
+    interp = float(np.sum(np.prod(halves, axis=1)))
+    norm_sum = float(np.sum(np.prod(spline_norm(p, ps.coords), axis=1)))
     value = max(e0 - interp, 0.0) / (2.0 * max(1.0, norm_sum))
     return Certificate(
         value=value,
@@ -307,15 +304,23 @@ def envelope_tilde_peak(p: float) -> tuple[float, float]:
 
 
 def envelope_stationary_point(p: float) -> float:
-    """Root a* of 1 - e^(2a) + 2 a p = 0, the unique positive stationary
-    point of the exponential envelope; bracketed by (ln(p)/2, p)."""
+    """Root a* of g(a) = 1 - e^(2a) + 2 a p = 0, the unique positive
+    stationary point of the exponential envelope.  With L = ln p it is
+    bracketed by g(L/2) = 1 - p + p L > 0 and g(max(1, (L + ln L + 1)/2))
+    < 0 (for p >= e, e^(2a) = e p L there); p whose upper end overflows
+    e^(2a), above about 1e305, raise."""
     p = _check_p_over_1(p, "stationary point needs p > 1")
+    from scipy.optimize import brentq
 
-    def g(a: float) -> float:
-        return 1.0 - math.exp(2.0 * a) + 2.0 * a * p
+    def g(a: float) -> float:  # expm1 keeps g accurate where a* is near 0 (p near 1)
+        return 2.0 * a * p - math.expm1(2.0 * a)
 
-    lo = 0.5 * math.log(p)
-    return float(brentq(g, lo, p, xtol=1e-14, rtol=8.9e-16))
+    log_p = math.log(p)
+    hi = max(1.0, 0.5 * (log_p + math.log(log_p) + 1.0))
+    if 2.0 * hi >= np.log(np.finfo(np.float64).max):
+        raise InvalidInputError(f"stationary point at p = {p} overflows binary64")
+    # a* > 0, so only the relative tolerance should stop the search
+    return float(brentq(g, 0.5 * log_p, hi, xtol=1e-300, rtol=8.9e-16))
 
 
 @dataclass(frozen=True)

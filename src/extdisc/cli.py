@@ -166,18 +166,18 @@ def cmd_bounds(args) -> int:
     p_field = "inf" if math.isinf(p) else repr(p)
     for d in range(args.d_min, args.d_max + 1):
         thm2 = "" if math.isinf(p) else repr(min_points_lower_bound(p, d, args.eps))
-        nw10 = (
-            repr(nw10_l2_lower(args.eps, d))
-            if p == 2.0 and 0.0 <= args.eps <= 1.0
-            else ""
-        )
-        gnew = (
-            repr(gnewuch_linf_upper(args.eps, d))
-            if math.isinf(p) and d >= 2 and 0.0 < args.eps < 1.0
-            else ""
-        )
+        nw10 = _bound_cell(nw10_l2_lower, args.eps, d) if p == 2.0 else ""
+        gnew = _bound_cell(gnewuch_linf_upper, args.eps, d) if math.isinf(p) else ""
         out.write(f"{p_field},{d},{args.eps!r},{thm2},{nw10},{gnew}\n")
     return 0
+
+
+def _bound_cell(bound, eps: float, d: int) -> str:
+    """repr of bound(eps, d), or empty where (eps, d) is outside its domain."""
+    try:
+        return repr(bound(eps, d))
+    except InvalidInputError:
+        return ""
 
 
 # ---------------------------------------------------------------------------

@@ -242,10 +242,11 @@ def _check_pair(ps: PointSet, ws: WeightSet) -> None:
         raise InvalidInputError("point set and weight set sizes differ")
 
 
-def _check_count(name: str, value, low: int) -> None:
-    """Raise unless value is an int or numpy integer >= low (NaN, inf, 2.5, "5" fail)."""
-    if not (isinstance(value, (int, np.integer)) and value >= low):
-        raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_count(name: str, value, low: int | None = None) -> None:
+    """Raise unless value is an int or numpy integer, and >= low if given (2.5, NaN, "5" fail)."""
+    if not (isinstance(value, (int, np.integer)) and (low is None or value >= low)):
+        bound = "" if low is None else f" >= {low}"
+        raise InvalidInputError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def local_discrepancy(ps: PointSet, ws: WeightSet, box: BoxPair) -> float:
@@ -397,6 +398,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     and reconstructing a stream is O(1), so chunks can be evaluated in any
     order or on any worker with identical output.
     """
+    _check_count("seed", seed)
     if index < 0:
         raise InvalidInputError("substream index must be >= 0")
     key = np.array([int(seed) % 2**64, int(index) % 2**64], dtype=np.uint64)

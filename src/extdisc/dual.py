@@ -86,9 +86,15 @@ def _check_unit_value(x, name: str) -> float:
     return float(_check_all(x, _in_unit, f"{name} must lie in [0, 1]"))
 
 
+def _pair_power(p: float, e):
+    """((p+1)(p+2))^e, factor by factor where the product overflows (p > ~1.3e154)."""
+    prod = (p + 1.0) * (p + 2.0)
+    return prod**e if prod < math.inf else (p + 1.0) ** e * (p + 2.0) ** e
+
+
 def _profile_scale(p: float) -> float:
     """Leading factor of the 1-d worst-case profile."""
-    return (p + 2.0) / p * ((p + 1.0) * (p + 2.0)) ** (-1.0 / p)
+    return (p + 2.0) / p * _pair_power(p, -1.0 / p)
 
 
 def initial_error(p: float, d: int) -> float:
@@ -102,7 +108,7 @@ def initial_error(p: float, d: int) -> float:
     if p == math.inf:
         return 1.0
     _check_finite_p(p)
-    return ((p + 1.0) * (p + 2.0)) ** (-d / p)
+    return _pair_power(p, -d / p)
 
 
 def worst_case_1d(p: float, x):

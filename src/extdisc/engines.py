@@ -113,21 +113,17 @@ class CellDecomposition:
             pos.append(np.searchsorted(g, ps.coords[:, j]))
         return cls(gammas, pos)
 
+    def _pair_counts(self, drop: int) -> list[int]:
+        """Ordered pairs k(k+1)/2 per axis, k = grid lines - drop (1: intervals, 0: lines)."""
+        return [k * (k + 1) // 2 for k in (len(g) - drop for g in self.gammas)]
+
     def interval_pair_count(self) -> int:
         """Cells for finite-p integration: ordered interval pairs per axis."""
-        total = 1
-        for g in self.gammas:
-            m = len(g) - 1
-            total *= m * (m + 1) // 2
-        return total
+        return math.prod(self._pair_counts(1))
 
     def grid_pair_count(self) -> int:
         """Candidate boxes for sup-norm enumeration: ordered grid pairs."""
-        total = 1
-        for g in self.gammas:
-            b = len(g)
-            total *= b * (b + 1) // 2
-        return total
+        return math.prod(self._pair_counts(0))
 
     def prefix_weights(self, weights: np.ndarray) -> np.ndarray:
         """Cumulative weighted histogram over the breakpoint grids.
@@ -250,7 +246,7 @@ def extreme_lp_exact_even_p(
     cd = CellDecomposition.from_points(ps)
     ncells = cd.interval_pair_count()
     if ncells > cell_budget:
-        columns = math.prod((len(g) - 1) * len(g) // 2 for g in cd.gammas[1:])
+        columns = math.prod(cd._pair_counts(1)[1:])
         nbytes = 8 * (len(cd.gammas[0]) + 1) * columns
         raise BudgetExceededError(
             f"{ncells} cells exceed budget {cell_budget} (a {nbytes}-byte differenced "
@@ -313,7 +309,7 @@ def extreme_linf_exact(
     cd = CellDecomposition.from_points(ps)
     nboxes = cd.grid_pair_count()
     if nboxes > box_budget:
-        columns = math.prod(len(g) * (len(g) + 1) // 2 for g in cd.gammas[1:])
+        columns = math.prod(cd._pair_counts(0)[1:])
         nbytes = 8 * (len(cd.gammas[0]) + 1) * columns
         raise BudgetExceededError(
             f"{nboxes} boxes exceed budget {box_budget} (a {nbytes}-byte differenced "
@@ -409,8 +405,7 @@ def _check_sampling(ps: PointSet, ws: WeightSet, samples, seed, workers, least: 
     _check_pair(ps, ws)
     _check_count("samples", samples, least)
     _check_count("workers", workers, 1)
-    if not isinstance(seed, (int, np.integer)):
-        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
+    _check_count("seed", seed)
 
 
 def _sample(ps: PointSet, ws: WeightSet, samples: int, seed: int, workers: int, per_chunk) -> list:

@@ -41,12 +41,16 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         _check_count("n", self.n, 1)
         _check_count("d", self.d, 1)
+        if self.seed is not None:
+            _check_count("seed", self.seed)
+        vector = () if self.gen_vector is None else self.gen_vector
+        for entry in np.ravel(np.array(vector, dtype=object)):
+            _check_count("gen_vector entry", entry)
 
 
 def radical_inverse(base: int, k) -> np.ndarray:
     """Van der Corput radical inverse of k in the given base, in [0, 1)."""
-    if base < 2:
-        raise InvalidInputError("radical inverse base must be >= 2")
+    _check_count("radical inverse base", base, 2)
     k = np.atleast_1d(np.asarray(k, dtype=np.int64)).copy()
     if k.size and k.min() < 0:
         raise InvalidInputError("radical inverse needs k >= 0")

@@ -1,6 +1,8 @@
 """Curse constants, certified bounds, and the large-p diagnostics."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -158,6 +160,32 @@ class TestPointAndErrorBounds:
             error_lower_bound(2.0, 1, -1)
 
 
+class TestHugeP:
+    """(p + 1)(p + 2) overflows binary64 above p of about 1.34e154."""
+
+    def test_values_continue_across_the_overflow(self):
+        for p in (1e154, 1e155, 1e300):
+            assert initial_error(p, 2) == 1.0
+            assert float(spline_norm(p, 0.5)) == 1.0
+        assert initial_error(1e155, 2) == initial_error(1e154, 2)
+
+    def test_curse_constants(self):
+        cc = curse_constants(1e200)
+        assert cc.a_p == 0.5 and cc.b_p == 1.0 and cc.c_p == 1.0
+        assert cc.b_method is BMethod.NUMERIC
+
+    def test_certificate_terms(self):
+        cert = certificate_lower_bound(PointSet([[0.5, 0.5]]), 1e300)
+        assert (cert.initial_term, cert.interp_term, cert.norm_sum) == (1.0, 0.25, 1.0)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the p > 8 bound functions need scipy; importing the package does not
+    code = "import sys, extdisc; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 class TestCertificate:
     def test_empty_set_is_half_initial(self):
         cert = certificate_lower_bound(PointSet(np.empty((0, 3))), 2.0)
@@ -270,6 +298,31 @@ class TestDiagnostics:
         assert diag.a_star_residual <= 1e-9
         assert diag.envelope_at_a_star < 1.0
         assert diag.tilde_peak_location == pytest.approx(19.0 / 40.0)
+
+    @pytest.mark.parametrize("p", [355.0, 356.0, 1e3, 1e10, 1e100, 1e150, 1e200, 1e300])
+    def test_stationary_point_at_large_p(self, p):
+        # e^(2p), the parent's upper bracket end, overflows from p = 356 on
+        a = envelope_stationary_point(p)
+        growth = math.exp(2 * a)
+        assert abs(1.0 - growth + 2 * a * p) <= 1e-13 * growth
+        assert a > 0.5 * math.log(p)
+        assert ratio_diagnostics(p).a_star == a
+
+    @pytest.mark.parametrize(
+        "p, a_star, rel",  # roots computed to 20 digits in 50-digit arithmetic
+        [
+            # near p = 1 the root a* ~ p - 1 is ill-conditioned in binary64
+            (1.0001, 9.9993333888827511339e-05, 2e-14),
+            (1.5, 0.38134428042516949102, 1e-15),
+            (9.0, 1.7370097384831772527, 1e-15),
+        ],
+    )
+    def test_stationary_point_accuracy(self, p, a_star, rel):
+        assert envelope_stationary_point(p) == pytest.approx(a_star, rel=rel, abs=0.0)
+
+    def test_stationary_point_overflow_is_an_input_error(self):
+        with pytest.raises(InvalidInputError, match="overflows binary64"):
+            envelope_stationary_point(1e306)
 
     def test_guards(self):
         with pytest.raises(InvalidInputError):

@@ -290,6 +290,32 @@ class TestBounds:
         assert code == 2 and out == ""
         assert "eps must be >= 0 and finite" in err
 
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    @pytest.mark.parametrize("eps", ["0", "1", "1.5"])
+    def test_cells_at_domain_edges(self, p, eps):
+        # nw10 needs p = 2 and 0 <= eps <= 1; gnewuch needs p = inf, d >= 2, 0 < eps < 1
+        code, out, _ = run_cli("bounds", "--p", p, "--d-max", "3", "--eps", eps)
+        assert code == 0
+        filled = [tuple(bool(cell) for cell in row[3:]) for row in self.header(out)]
+        nw10 = p == "2" and eps != "1.5"
+        assert filled == [(p == "2", nw10, False)] * 3
+
+    @pytest.mark.parametrize(
+        "argv, last_row",
+        [
+            (["bounds", "--p", "1e200", "--d-max", "2", "--eps", "0.1"], "1e+200,2,0.1,0.8,,"),
+            (
+                ["constants", "--p-min", "1e200", "--p-max", "1e200", "--count", "1"],
+                "1e+200,0.5,1.0,1.0,1.0035102398431338e-08,numeric",
+            ),
+        ],
+    )
+    def test_huge_finite_p_exits_0(self, argv, last_row):
+        # (p + 1)(p + 2) overflows here; C_p once came out as 1/0 (exit 1)
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert out.strip().split("\n")[-1] == last_row
+
     def test_q_equivalent(self):
         a = run_cli("bounds", "--p", "3", "--d-max", "2", "--eps", "0.1")
         b = run_cli("bounds", "--q", "1.5", "--d-max", "2", "--eps", "0.1")
@@ -313,6 +339,14 @@ class TestCertify:
         assert code == 0
         obj = json.loads(out)
         assert obj["value"] == pytest.approx(12.0**-1 / 2.0)
+
+    def test_huge_finite_p_terms(self, one_center):
+        # (p + 1)(p + 2) overflows at p = 1e300; every term once printed as 0.0
+        code, out, _ = run_cli("certify", "--input", one_center, "--p", "1e300")
+        obj = json.loads(out)
+        assert code == 0
+        assert (obj["initial_term"], obj["interp_term"], obj["norm_sum"]) == (1.0, 0.5, 1.0)
+        assert obj["value"] == 0.25
 
     def test_p_guard(self, one_center):
         assert run_cli("certify", "--input", one_center, "--p", "1")[0] == 2

@@ -326,6 +326,15 @@ class TestSampler:
             b = sample_box_pairs(substream(t, 0), 4, 2)[0]
             assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [1.5, math.nan, "1"])
+    def test_substream_rejects_non_integer_seed(self, seed):
+        # a float seed once drew the stream of its integer part
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            substream(seed, 0)
+
+    def test_substream_accepts_numpy_integer_seed(self):
+        assert np.array_equal(substream(np.int64(5), 1).random(4), substream(5, 1).random(4))
+
 
 class TestValidation:
     def test_points_outside_unit_cube(self):

@@ -37,6 +37,14 @@ class TestRadicalInverse:
         with pytest.raises(InvalidInputError):
             radical_inverse(2, [-1])
 
+    @pytest.mark.parametrize("base", [2.5, math.nan, 2.0])
+    def test_non_integer_base_rejected(self, base):
+        with pytest.raises(InvalidInputError, match="base must be an integer >= 2"):
+            radical_inverse(base, [1])
+
+    def test_numpy_integer_base_accepted(self):
+        assert np.array_equal(radical_inverse(np.int64(3), [1, 2]), radical_inverse(3, [1, 2]))
+
 
 class TestKinds:
     def test_vdc_1d(self):
@@ -86,6 +94,18 @@ class TestKinds:
         with pytest.raises(InvalidInputError):
             gen("lattice", 1, 1, gen_vector=(1,))
 
+    @pytest.mark.parametrize("vector", [(1.5, 2), (1, math.nan), (1, "2")])
+    def test_lattice_rejects_non_integer_entries(self, vector):
+        # the int64 cast once built the lattice of the truncated vector
+        with pytest.raises(InvalidInputError, match="gen_vector entry must be an integer"):
+            GeneratorSpec(GeneratorKind.LATTICE, 5, 2, gen_vector=vector)
+
+    def test_lattice_range_message_kept(self):
+        with pytest.raises(InvalidInputError, match=r"gen_vector in \[1, n-1\]\^d"):
+            gen("lattice", 5, 2, gen_vector=(0, 2))
+        a, _ = gen("lattice", 5, 2, gen_vector=(np.int64(1), np.int32(2)))
+        assert np.array_equal(a.coords, gen("lattice", 5, 2, gen_vector=(1, 2))[0].coords)
+
     def test_random_seeded(self):
         a, _ = gen("random", 16, 3, seed=5)
         b, _ = gen("random", 16, 3, seed=5)
@@ -96,6 +116,18 @@ class TestKinds:
     def test_random_needs_seed(self):
         with pytest.raises(InvalidInputError):
             gen("random", 4, 2)
+
+    @pytest.mark.parametrize("seed", [1.5, "1", math.nan])
+    def test_random_rejects_non_integer_seed(self, seed):
+        # a float seed once drew the points of its integer part
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            GeneratorSpec(GeneratorKind.RANDOM, 3, 2, seed=seed)
+
+    def test_random_accepts_numpy_integer_seed(self):
+        a, _ = gen("random", 3, 2, seed=np.int64(1))
+        b, _ = gen("random", 3, 2, seed=np.uint32(1))
+        assert np.array_equal(a.coords, gen("random", 3, 2, seed=1)[0].coords)
+        assert np.array_equal(b.coords, a.coords)
 
     def test_all_in_unit_cube(self):
         for kind, kw in [
