@@ -251,7 +251,11 @@ def log_curvature_at_half(p: float) -> float:
     Negative on 1 < p <= 8 (1/2 is a local max), positive for large p.
     """
     p = _check_p_over_1(p, "curvature diagnostic needs p > 1")
-    return -p * (p + 1.0) * 2.0 ** (2.0 - p) / (1.0 - 2.0**-p) + 8.0 / p
+    scale, lead = 2.0 ** (2.0 - p), -p * (p + 1.0)
+    # p (p+1) overflows above p ~ 1.3e154, where 2^(2-p) is already 0:
+    # scaling before the factor p + 1 there gives the limit 8/p, not NaN
+    term = lead * scale if lead > -math.inf else -p * scale * (p + 1.0)
+    return term / (1.0 - 2.0**-p) + 8.0 / p
 
 
 def envelope(p: float, a):
@@ -299,8 +303,10 @@ def envelope_tilde_peak(p: float) -> tuple[float, float]:
     """
     p = _check_p_over_1(p, "peak diagnostic needs p > 1")
     a_peak = (p - 1.0) / (2.0 * p)
-    value = ((p - 1.0) * (p + 2.0) / p) ** (1.0 - 1.0 / p) * 4.0 ** (1.0 / p) / p
-    return a_peak, value
+    e, prod = 1.0 - 1.0 / p, (p - 1.0) * (p + 2.0)
+    # factor by factor where the product overflows (p > ~1.3e154); the value tends to 1
+    base = (prod / p) ** e if prod < math.inf else (p - 1.0) ** e * ((p + 2.0) / p) ** e
+    return a_peak, base * 4.0 ** (1.0 / p) / p
 
 
 def envelope_stationary_point(p: float) -> float:

@@ -51,6 +51,7 @@ from .core import (
     WeightSet,
     _check_count,
     _check_pair,
+    _prepare,
     local_discrepancy_batch,
     sample_box_pairs,
     substream,
@@ -413,16 +414,19 @@ def _sample(ps: PointSet, ws: WeightSet, samples: int, seed: int, workers: int, 
 
     Chunk i holds CHUNK boxes, the last one the remainder, drawn from
     substream(seed, i), so the list does not depend on the worker count.
-    Each thread holds one chunk's boxes and kernel temporaries, so the pool
-    never outnumbers the chunks or the CPUs.  Callers check their arguments
-    with _check_sampling first.
+    The kernel's block tables are built once, before the pool starts, and
+    every chunk and thread reads the same ones.  Each thread holds one
+    chunk's boxes and kernel temporaries, so the pool never outnumbers the
+    chunks or the CPUs.  Callers check their arguments with _check_sampling
+    first.
     """
     full, rem = divmod(samples, CHUNK)
     sizes = [CHUNK] * full + ([rem] if rem else [])
+    tables = _prepare(ps.coords, ws.values)
 
     def run_chunk(i: int):
         lo, hi = sample_box_pairs(substream(seed, i), sizes[i], ps.d)
-        return per_chunk(local_discrepancy_batch(ps.coords, ws.values, lo, hi))
+        return per_chunk(local_discrepancy_batch(ps.coords, ws.values, lo, hi, tables=tables))
 
     workers = min(workers, len(sizes), os.cpu_count() or 1)
     if workers == 1:

@@ -1,4 +1,4 @@
-"""Smoke test: the benchmark harness runs its exact and CLI workloads, traced, and passes."""
+"""Smoke test: the benchmark harness runs each workload, traced, and passes."""
 
 import json
 import subprocess
@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["exact", "cli"])
+@pytest.mark.parametrize("workload", ["mc", "exact", "cli"])
 def test_workload_runs_traced(workload):
     # a renamed traced function shows up in "absent", a broken output check
     # (an exact engine's value, or the CLI's stdout across worker counts) in
@@ -26,3 +26,8 @@ def test_workload_runs_traced(workload):
     *_, record, result = proc.stdout.splitlines()
     assert json.loads(result)["failed"] == 0, json.loads(record)["failed_checks"]
     assert json.loads(record)["absent"] == []
+    if workload == "mc":
+        # the samplers evaluate every box they draw through the traced kernel
+        report = json.loads(record)["report"]
+        boxes = report["core.local_discrepancy_batch.boxes"]["value"]
+        assert boxes == report["core.sample_box_pairs.boxes"]["value"] > 0

@@ -308,6 +308,26 @@ class TestDiagnostics:
         assert a > 0.5 * math.log(p)
         assert ratio_diagnostics(p).a_star == a
 
+    @pytest.mark.parametrize("p", [1e155, 1e200, 1e300])
+    def test_diagnostics_at_huge_p(self, p):
+        # (p+1)(p+2) and (p-1)(p+2) overflow above p ~ 1.34e154; the limits
+        # are 8/p for the curvature and 1 for the rational envelope's peak
+        diag = ratio_diagnostics(p)
+        assert diag.curvature_at_half == pytest.approx(8.0 / p, rel=1e-15)
+        assert diag.tilde_peak_value == pytest.approx(1.0, abs=1e-15)
+        assert envelope_tilde_peak(p) == (0.5, diag.tilde_peak_value)
+
+    def test_diagnostics_below_overflow_are_unchanged(self):
+        # the closed forms as written before the overflow guards, bit for bit
+        ps = np.concatenate(
+            (np.linspace(1.0001, 30.0, 2000), np.geomspace(30.0, 1e150, 2000), [1.34e154])
+        )
+        for p in ps.tolist():
+            curvature = -p * (p + 1.0) * 2.0 ** (2.0 - p) / (1.0 - 2.0**-p) + 8.0 / p
+            peak = ((p - 1.0) * (p + 2.0) / p) ** (1.0 - 1.0 / p) * 4.0 ** (1.0 / p) / p
+            assert log_curvature_at_half(p) == curvature
+            assert envelope_tilde_peak(p)[1] == peak
+
     @pytest.mark.parametrize(
         "p, a_star, rel",  # roots computed to 20 digits in 50-digit arithmetic
         [

@@ -29,7 +29,12 @@ from extdisc import (
     substream,
 )
 from extdisc.core import (
+    _BIT,
+    _BLOCK,
+    _TILE_BYTES,
+    _WORD,
     _parse_header,
+    _prepare,
     _rank_table,
     _ranks,
     _split,
@@ -224,6 +229,111 @@ def test_batch_kernel_matches_definition(n, d, grid, dyadic, seed):
     else:
         tol = 1e-14 * max(1.0, float(np.sum(np.abs(weights))))
         assert np.max(np.abs(got - want), initial=0.0) <= tol
+
+
+def reference_block_counts(coords, weights, lower, upper):
+    """The kernel as it was before its tables were built once per sampler run:
+    every call builds one block's tables and queries them tile by tile."""
+    b, d = coords.shape
+    words = -(-b // 64)
+    point = np.arange(b)
+    axes = []
+    for j in range(d):
+        distinct, inverse = np.unique(coords[:, j], return_inverse=True)
+        prefix = np.zeros((len(distinct) + 1, words), dtype=_WORD)
+        cell, bits = (inverse + 1, point >> 6), _BIT[point & 63]
+        prefix[cell] = bits
+        np.bitwise_or.at(prefix, cell, bits)
+        np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+        axes.append((prefix, _rank_table(distinct)))
+    bytes_per_set = 8 * words
+    padded = np.zeros(8 * bytes_per_set)
+    padded[:b] = weights
+    padded = padded.reshape(bytes_per_set, 8)
+    table = np.zeros((bytes_per_set, 256))
+    for i in range(8):
+        table[:, 1 << i : 2 << i] = table[:, : 1 << i] + padded[:, i : i + 1]
+    table = table.ravel()
+    row_offset = np.arange(0, 256 * bytes_per_set, 256)
+
+    m = lower.shape[0]
+    counts = np.zeros(m)
+    rows = max(1, _TILE_BYTES // (8 * bytes_per_set))
+    index = np.empty((min(rows, m), bytes_per_set), dtype=np.intp)
+    values = np.empty(index.shape)
+    for start in range(0, m, rows):
+        lo = lower[start : start + rows]
+        hi = upper[start : start + rows]
+        inside = None
+        for j, (prefix, rank_table) in enumerate(axes):
+            r_lo, r_hi = _ranks(rank_table, np.stack((lo[:, j], hi[:, j])))
+            np.maximum(r_hi, r_lo, out=r_hi)
+            axis_in = prefix.take(r_hi, axis=0)
+            axis_in ^= prefix.take(r_lo, axis=0)
+            if inside is None:
+                inside = axis_in
+            else:
+                inside &= axis_in
+        hit = np.flatnonzero(inside.any(axis=1))
+        k = len(hit)
+        np.add(inside[hit].view(np.uint8), row_offset, out=index[:k])
+        table.take(index[:k], out=values[:k], mode="wrap")
+        counts[start + hit] = values[:k].sum(axis=1)
+    return counts
+
+
+def reference_batch(coords, weights, lower, upper):
+    counts = np.zeros(lower.shape[0])
+    for start in range(0, len(coords), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        counts += reference_block_counts(coords[block], weights[block], lower, upper)
+    return counts - np.prod(upper - lower, axis=1)
+
+
+@given(
+    n=st.sampled_from([0, 1, 5, 64, 65, 300, 4097, 9000]),
+    d=st.integers(1, 8),
+    grid=st.booleans(),
+    duplicates=st.booleans(),
+    qmc=st.booleans(),
+    m=st.sampled_from([1, 97, 1500, 40000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_batch_kernel_matches_parent_reference(n, d, grid, duplicates, qmc, m, seed):
+    # the kernel with and without prepared tables, and with some blocks left
+    # to the call, is bit for bit the kernel that built its tables per call.
+    # n = 4097 and 9000 cross _BLOCK; a tile holds 2^18 / max(8 words, 2d)
+    # rows (32768 at n <= 64), so the larger box counts end in a partial tile
+    if m == 40000 and n > 300:
+        m = 1500  # keeps the reference's cost down; a tile there holds 512 rows
+    rng = np.random.default_rng(seed)
+    coords = rng.random((n, d))
+    if grid:
+        coords = np.floor(coords * 16) / 16
+    if duplicates and n:
+        coords[rng.integers(0, n, n // 2)] = coords[rng.integers(0, n, n // 2)]
+    weights = np.full(n, 1.0 / max(n, 1)) if qmc else rng.standard_normal(n) / max(n, 1)
+    lo = rng.uniform(-0.2, 1.2, (m, d))
+    hi = rng.uniform(-0.2, 1.2, (m, d))
+    ordered = rng.random(m) < 0.75  # the other rows keep lo > hi on some axes
+    lo[ordered], hi[ordered] = np.minimum(lo, hi)[ordered], np.maximum(lo, hi)[ordered]
+    if n:  # anchors on point coordinates, so points sit on box faces
+        faces = rng.random((m, d)) < 0.3
+        lo[faces] = coords[rng.integers(0, n, (m, d)), np.arange(d)][faces]
+    want = reference_batch(coords, weights, lo, hi)
+    tables = _prepare(coords, weights)
+    assert np.array_equal(local_discrepancy_batch(coords, weights, lo, hi), want)
+    assert np.array_equal(local_discrepancy_batch(coords, weights, lo, hi, tables=tables), want)
+    some = [t if rng.random() < 0.5 else None for t in tables]
+    assert np.array_equal(local_discrepancy_batch(coords, weights, lo, hi, tables=some), want)
+
+
+def test_batch_rejects_tables_of_other_points():
+    coords, weights = np.full((5000, 1), 0.5), np.ones(5000)
+    lo, hi = np.zeros((1, 1)), np.ones((1, 1))
+    with pytest.raises(InvalidInputError, match="tables hold 1 blocks, the points 2"):
+        local_discrepancy_batch(coords, weights, lo, hi, tables=_prepare(coords[:10], weights[:10]))
 
 
 @pytest.mark.parametrize("fullest", [1, 2, 3, 4, 7, 8, 15, 16, 17, 4096])

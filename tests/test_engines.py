@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extdisc import (
+    CHUNK,
     BudgetExceededError,
     InternalConsistencyError,
     InvalidInputError,
@@ -29,6 +30,7 @@ from extdisc import (
     extreme_lp_mc,
     substream,
 )
+from extdisc import core
 from extdisc.engines import CellDecomposition
 from extdisc.generators import GeneratorKind, GeneratorSpec, generate
 
@@ -669,6 +671,79 @@ class TestMonteCarloContract:
         assert res.samples == 5_000 and res.seed == 3 and res.stderr > 0
         low = extreme_linf_lower_mc(ps, equal_weights(1), 1_000, seed=3)
         assert low.method is Method.LINF_SAMPLED and low.stderr == 0.0
+
+
+def count_block_builds(monkeypatch, block):
+    """Shrink the kernel's blocks to `block` points and record each block
+    table build by its point count."""
+    builds = []
+    build = core._block_tables
+
+    def counted(coords, weights):
+        builds.append(len(coords))
+        return build(coords, weights)
+
+    monkeypatch.setattr(core, "_BLOCK", block)
+    monkeypatch.setattr(core, "_block_tables", counted)
+    return builds
+
+
+def run_samplers(ps, ws, workers):
+    # 3 chunks and a remainder; at p = 3 the audit samples the norm too
+    samples = 3 * CHUNK + 1000
+    return (
+        extreme_lp_mc(ps, ws, 3.0, samples, seed=4, workers=workers),
+        extreme_linf_lower_mc(ps, ws, samples, seed=4, workers=workers),
+        duality_gap_mc(ps, ws, 3.0, samples, seed=4, workers=workers),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_samplers_build_each_block_once(workers, monkeypatch):
+    ps, ws = signed_rule(200, 3, seed=9)
+    builds = count_block_builds(monkeypatch, 64)
+    got = run_samplers(ps, ws, workers)
+    # four blocks (64, 64, 64, 8) per sampling pass: lp, linf, and the
+    # audit's norm and pairing
+    assert builds == [64, 64, 64, 8] * 4
+    # with no room for tables every chunk builds its own, as the kernel
+    # does without them; the outputs are the same bits
+    builds.clear()
+    monkeypatch.setattr(core, "_TABLE_BYTES", 0)
+    assert run_samplers(ps, ws, workers) == got
+    assert len(builds) == 4 * (1 + 4 * 4)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocks_past_the_table_cap_are_built_per_chunk(workers, monkeypatch):
+    ps, ws = signed_rule(200, 3, seed=9)
+    builds = count_block_builds(monkeypatch, 64)
+    samples = 3 * CHUNK + 1000
+    want = extreme_lp_mc(ps, ws, 3.0, samples, seed=4, workers=workers)
+    two = [core._block_tables(ps.coords[s : s + 64], ws.values[s : s + 64]) for s in (0, 64)]
+    builds.clear()
+    monkeypatch.setattr(core, "_TABLE_BYTES", sum(map(core._table_bytes, two)))
+    got = extreme_lp_mc(ps, ws, 3.0, samples, seed=4, workers=workers)
+    # the run holds blocks 0 and 1; block 2 is built, found past the cap and
+    # dropped, and each of the 4 chunks builds blocks 2 and 3 for itself
+    assert builds[:3] == [64, 64, 64]
+    assert sorted(builds[3:]) == [8] * 4 + [64] * 4
+    assert got == want
+
+
+def test_sampler_chunk_memory_is_bounded_by_the_table_cap():
+    # one 65536-box chunk at n = 20000, d = 8 peaked at 33.2 MiB when every
+    # call built its own tables one block at a time; the run's shared tables
+    # may add at most the cap (here one 19 MiB block)
+    ps = PointSet(substream(20000, 0).random((20000, 8)))
+    ws = equal_weights(20000)
+    tracemalloc.start()
+    try:
+        extreme_lp_mc(ps, ws, 3.0, CHUNK, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= int(33.5 * 2**20) + core._TABLE_BYTES
 
 
 class TestNoZeroResults:
