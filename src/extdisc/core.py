@@ -52,8 +52,8 @@ _TILE_BYTES = 1 << 21
 
 # Bytes of block tables that `_prepare` builds once per sampler run and the
 # run's chunks and threads share.  A d = 8 block of 4096 points takes about
-# 19 MiB when every coordinate is distinct; blocks past the cap are built
-# per call, one at a time, as `local_discrepancy_batch` does without tables.
+# 19 MiB when every coordinate is distinct; points whose tables could take
+# more get none, and each call builds its blocks one at a time.
 _TABLE_BYTES = 32 << 20
 
 # Bytes of box sides per tile of `_volumes`, small enough to stay in cache.
@@ -290,7 +290,8 @@ def local_discrepancy_batch(
     value depends only on the points and its own anchors, so results are
     bitwise independent of how boxes are split into batches.  `tables`,
     from `_prepare(coords, weights)`, holds block tables built once for
-    many calls on the same points; a block it lacks is built for this call.
+    many calls on the same points; without them each block is built for
+    this call, one at a time.
     """
     coords = np.asarray(coords, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -310,15 +311,15 @@ def local_discrepancy_batch(
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise InvalidInputError("box anchors must be finite")
     starts = range(0, n, _BLOCK)
-    if tables is None:
-        tables = [None] * len(starts)
-    elif len(tables) != len(starts):
+    if tables is not None and len(tables) != len(starts):
         raise InvalidInputError(f"tables hold {len(tables)} blocks, the points {len(starts)}")
     counts = np.zeros(lower.shape[0])
-    for start, block in zip(starts, tables):
-        if block is None:
-            block = _block_tables(coords[start : start + _BLOCK], weights[start : start + _BLOCK])
-        counts += _block_counts(block, lower, upper)
+    for i, s in enumerate(starts):
+        if tables is not None:
+            counts += _block_counts(tables[i], lower, upper)
+        else:  # left unnamed, a block is freed before the next one is built
+            part = slice(s, s + _BLOCK)
+            counts += _block_counts(_block_tables(coords[part], weights[part]), lower, upper)
     return counts - _volumes(lower, upper)
 
 
@@ -395,35 +396,38 @@ def _block_tables(coords: np.ndarray, weights: np.ndarray) -> tuple[list, np.nda
     return axes, table.ravel()
 
 
-def _table_bytes(block) -> int:
-    axes, table = block
-    return table.nbytes + sum(p.nbytes + base.nbytes + u.nbytes for p, (_, base, u, _) in axes)
+def _table_bytes_bound(n: int, d: int) -> int:
+    """Bytes that `_block_tables` can take over all blocks of n points in d
+    dimensions, as a block of b points has at most b distinct coordinates
+    per axis."""
+    total = 0
+    for start in range(0, n, _BLOCK):
+        b = min(_BLOCK, n - start)
+        words = -(-b // 64)
+        buckets = 1 << ((b - 1).bit_length() + 3)
+        # the byte table, and per axis the prefix bitsets, the bucket bases
+        # and the distinct coordinates with at most 2b of padding
+        total += 8 * (2048 * words + d * ((b + 1) * words + buckets + 1 + 3 * b))
+    return total
 
 
-def _prepare(coords: np.ndarray, weights: np.ndarray) -> list:
-    """Block tables for many `local_discrepancy_batch` calls on these points.
-
-    Blocks are built in order while their tables total at most
-    `_TABLE_BYTES`; the first block past that and all later ones are None,
-    so each call builds them for itself, one at a time.  The tables are
+def _prepare(coords: np.ndarray, weights: np.ndarray) -> list | None:
+    """Block tables for many `local_discrepancy_batch` calls on these points,
+    or None when they could take more than `_TABLE_BYTES`.  The tables are
     only read, so threads may share them.
     """
-    starts = range(0, len(coords), _BLOCK)
-    tables, held = [], 0
-    for start in starts:
-        block = _block_tables(coords[start : start + _BLOCK], weights[start : start + _BLOCK])
-        held += _table_bytes(block)
-        if held > _TABLE_BYTES:
-            break
-        tables.append(block)
-    return tables + [None] * (len(starts) - len(tables))
+    n, d = coords.shape
+    if _table_bytes_bound(n, d) > _TABLE_BYTES:
+        return None
+    return [
+        _block_tables(coords[s : s + _BLOCK], weights[s : s + _BLOCK]) for s in range(0, n, _BLOCK)
+    ]
 
 
 def _block_counts(block, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Weighted counts of one block's points in each box [lower, upper)."""
     axes, table = block
     bytes_per_set = table.size // 256
-    words = bytes_per_set // 8
     row_offset = np.arange(0, table.size, 256)
     m, d = lower.shape
     counts = np.zeros(m)
@@ -452,14 +456,9 @@ def _block_counts(block, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
                 inside &= axis_in
         # a box whose bitset is all zero holds no point and keeps the 0.0
         # its bytes sum to, so only the other boxes read the byte table (in
-        # high d most sampled boxes are empty).  `any` over a row of a few
-        # words costs about 26 ns, an OR of one word column about 1.3 us
-        # per call, and a tile has at most 2^15 / words rows, so up to 16
-        # words the columns are ORed one at a time
-        if words <= 16:
-            occupied = reduce(np.bitwise_or, inside.T) != 0
-        else:
-            occupied = inside.any(axis=1)
+        # high d most sampled boxes are empty).  The word columns are ORed,
+        # as `any` over a row of a few words costs about 26 ns
+        occupied = reduce(np.bitwise_or, inside.T) != 0
         hit = np.flatnonzero(occupied)
         n_hit = len(hit)
         # indices are in range by construction; mode="wrap" skips the

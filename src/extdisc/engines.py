@@ -415,10 +415,11 @@ def _sample(ps: PointSet, ws: WeightSet, samples: int, seed: int, workers: int, 
     Chunk i holds CHUNK boxes, the last one the remainder, drawn from
     substream(seed, i), so the list does not depend on the worker count.
     The kernel's block tables are built once, before the pool starts, and
-    every chunk and thread reads the same ones.  Each thread holds one
-    chunk's boxes and kernel temporaries, so the pool never outnumbers the
-    chunks or the CPUs.  Callers check their arguments with _check_sampling
-    first.
+    every chunk and thread reads the same ones; points whose tables could
+    pass `core._TABLE_BYTES` get none, and each chunk builds its own, one
+    block at a time.  Each thread holds one chunk's boxes and kernel
+    temporaries, so the pool never outnumbers the chunks or the CPUs.
+    Callers check their arguments with _check_sampling first.
     """
     full, rem = divmod(samples, CHUNK)
     sizes = [CHUNK] * full + ([rem] if rem else [])

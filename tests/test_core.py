@@ -32,12 +32,15 @@ from extdisc.core import (
     _BIT,
     _BLOCK,
     _TILE_BYTES,
+    _TABLE_BYTES,
     _WORD,
+    _block_tables,
     _parse_header,
     _prepare,
     _rank_table,
     _ranks,
     _split,
+    _table_bytes_bound,
     local_discrepancy_batch,
     points_csv,
 )
@@ -301,8 +304,8 @@ def reference_batch(coords, weights, lower, upper):
 )
 @settings(max_examples=40, deadline=None)
 def test_batch_kernel_matches_parent_reference(n, d, grid, duplicates, qmc, m, seed):
-    # the kernel with and without prepared tables, and with some blocks left
-    # to the call, is bit for bit the kernel that built its tables per call.
+    # the kernel with and without tables built once for many calls is bit
+    # for bit the kernel that built its tables per call.
     # n = 4097 and 9000 cross _BLOCK; a tile holds 2^18 / max(8 words, 2d)
     # rows (32768 at n <= 64), so the larger box counts end in a partial tile
     if m == 40000 and n > 300:
@@ -322,11 +325,35 @@ def test_batch_kernel_matches_parent_reference(n, d, grid, duplicates, qmc, m, s
         faces = rng.random((m, d)) < 0.3
         lo[faces] = coords[rng.integers(0, n, (m, d)), np.arange(d)][faces]
     want = reference_batch(coords, weights, lo, hi)
-    tables = _prepare(coords, weights)
+    # the blocks `_prepare` returns when they fit its cap, as they may not
+    tables = [
+        _block_tables(coords[s : s + _BLOCK], weights[s : s + _BLOCK]) for s in range(0, n, _BLOCK)
+    ]
+    assert sum(map(table_bytes, tables)) <= _table_bytes_bound(n, d)
     assert np.array_equal(local_discrepancy_batch(coords, weights, lo, hi), want)
     assert np.array_equal(local_discrepancy_batch(coords, weights, lo, hi, tables=tables), want)
-    some = [t if rng.random() < 0.5 else None for t in tables]
-    assert np.array_equal(local_discrepancy_batch(coords, weights, lo, hi, tables=some), want)
+
+
+def table_bytes(block):
+    axes, table = block
+    return table.nbytes + sum(p.nbytes + base.nbytes + u.nbytes for p, (_, base, u, _) in axes)
+
+
+@pytest.mark.parametrize(
+    "n, d, blocks",
+    [(0, 8, 0), (512, 8, 1), (4096, 8, 1), (5000, 3, 2), (5000, 8, 2), (8192, 8, None)],
+)
+def test_prepare_holds_all_tables_or_none(n, d, blocks):
+    # random points have n distinct coordinates per axis, the most a block
+    # can have, so their tables come close to the bound
+    coords = substream(n, d).random((n, d))
+    tables = _prepare(coords, np.ones(n))
+    if blocks is None:
+        assert tables is None and _table_bytes_bound(n, d) > _TABLE_BYTES
+    else:
+        held = sum(map(table_bytes, tables))
+        assert len(tables) == blocks and held <= _table_bytes_bound(n, d) <= _TABLE_BYTES
+        assert _table_bytes_bound(n, d) <= 1.1 * held + (1 << 16)
 
 
 def test_batch_rejects_tables_of_other_points():

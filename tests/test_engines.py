@@ -706,12 +706,12 @@ def test_samplers_build_each_block_once(workers, monkeypatch):
     # four blocks (64, 64, 64, 8) per sampling pass: lp, linf, and the
     # audit's norm and pairing
     assert builds == [64, 64, 64, 8] * 4
-    # with no room for tables every chunk builds its own, as the kernel
-    # does without them; the outputs are the same bits
+    # with no room for tables each of the 4 chunks of the 4 passes builds
+    # the 4 blocks, as the kernel does without them; the same bits come out
     builds.clear()
     monkeypatch.setattr(core, "_TABLE_BYTES", 0)
     assert run_samplers(ps, ws, workers) == got
-    assert len(builds) == 4 * (1 + 4 * 4)
+    assert len(builds) == 4 * 4 * 4
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -720,30 +720,31 @@ def test_blocks_past_the_table_cap_are_built_per_chunk(workers, monkeypatch):
     builds = count_block_builds(monkeypatch, 64)
     samples = 3 * CHUNK + 1000
     want = extreme_lp_mc(ps, ws, 3.0, samples, seed=4, workers=workers)
-    two = [core._block_tables(ps.coords[s : s + 64], ws.values[s : s + 64]) for s in (0, 64)]
+    assert builds == [64, 64, 64, 8]
     builds.clear()
-    monkeypatch.setattr(core, "_TABLE_BYTES", sum(map(core._table_bytes, two)))
+    monkeypatch.setattr(core, "_TABLE_BYTES", core._table_bytes_bound(200, 3) - 1)
     got = extreme_lp_mc(ps, ws, 3.0, samples, seed=4, workers=workers)
-    # the run holds blocks 0 and 1; block 2 is built, found past the cap and
-    # dropped, and each of the 4 chunks builds blocks 2 and 3 for itself
-    assert builds[:3] == [64, 64, 64]
-    assert sorted(builds[3:]) == [8] * 4 + [64] * 4
+    # the tables could pass the cap, so the run holds none and each of the
+    # 4 chunks builds all four blocks for itself
+    assert sorted(builds) == [8] * 4 + [64] * 12
     assert got == want
 
 
-def test_sampler_chunk_memory_is_bounded_by_the_table_cap():
-    # one 65536-box chunk at n = 20000, d = 8 peaked at 33.2 MiB when every
-    # call built its own tables one block at a time; the run's shared tables
-    # may add at most the cap (here one 19 MiB block)
-    ps = PointSet(substream(20000, 0).random((20000, 8)))
-    ws = equal_weights(20000)
+@pytest.mark.parametrize("n", [4096, 20000])
+def test_sampler_chunk_memory_is_as_without_tables(n):
+    # one 65536-box chunk in d = 8 peaked at 33.2 MiB when every call built
+    # its own tables one block at a time.  At n = 4096 the run holds the one
+    # block's tables, which the chunk's call built and held anyway; at
+    # n = 20000 they could pass the cap and the call builds them as before
+    ps = PointSet(substream(n, 0).random((n, 8)))
+    ws = equal_weights(n)
     tracemalloc.start()
     try:
         extreme_lp_mc(ps, ws, 3.0, CHUNK, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= int(33.5 * 2**20) + core._TABLE_BYTES
+    assert peak <= int(33.5 * 2**20)
 
 
 class TestNoZeroResults:
