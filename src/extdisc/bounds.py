@@ -7,14 +7,12 @@ exponent p:
   worst-case integrand) over nodes y; it has the closed form
   (p+2)/(2p) (1 - 2^-p).
 * B_p, the largest ratio of spline norm to worst-case norm, the maximum
-  over y of the profile `norm_ratio`.  For p <= 8 the profile peaks at
+  over y of the profile `spline_norm`.  For p <= 8 the profile peaks at
   y = 1/2 and B_p is closed form; for larger p the peak moves toward the
   edges and is located numerically.
 
 C_p = min(1/A_p, 1/B_p) exceeds 1 for every finite p > 1, which forces the
-number of points needed to beat the empty rule to grow like C_p^d.  The
-diagnostics at the bottom certify the p > 8 regime with explicit envelope
-functions of the rescaled variable a = (p+1) y.
+number of points needed to beat the empty rule to grow like C_p^d.
 """
 
 from __future__ import annotations
@@ -66,11 +64,6 @@ def integral_ratio_max(p: float) -> float:
     return (p + 2.0) / (2.0 * p) * (1.0 - 2.0**-p)
 
 
-# ratio of the node-y spline norm to the worst-case norm, which is one; kept
-# as its own name since the bounds only use it as a ratio
-norm_ratio = spline_norm
-
-
 def _norm_ratio_at_half(p: float) -> float:
     # h(1/2) / (1/4)^(1/p) with h the unit worst-case profile
     return float(worst_case_1d(p, 0.5)) * 4.0 ** (1.0 / p)
@@ -89,18 +82,18 @@ def _norm_ratio_max_numeric(p: float) -> tuple[float, float]:
     from scipy.optimize import minimize_scalar  # scipy loads only for p > 8
 
     grid = _scan_grid()
-    vals = norm_ratio(p, grid)
+    vals = spline_norm(p, grid)
     k = int(np.argmax(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
     res = minimize_scalar(
-        lambda y: -norm_ratio(p, y),
+        lambda y: -spline_norm(p, y),
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": _REFINE_XATOL},
     )
     y_star = float(res.x)
-    best = float(norm_ratio(p, y_star))
+    best = float(spline_norm(p, y_star))
     if vals[k] > best:
         best, y_star = float(vals[k]), float(grid[k])
     return best, y_star
@@ -123,19 +116,6 @@ def norm_ratio_max(p: float) -> tuple[float, float, BMethod]:
 def curse_base(p: float) -> float:
     """C_p = min(1/A_p, 1/B_p), the exponential base of the point lower bound."""
     return curse_constants(p).c_p
-
-
-def curse_base_closed_form(p: float) -> float:
-    """Closed form of C_p valid for 1 < p <= 8, where B_p dominates:
-
-    C_p = p/(p+2) * 2^p/(2^p - 1) * ((p+1)(p+2)/4)^(1/p).
-    """
-    p = _check_finite_p(p)
-    if not (1.0 < p <= CLOSED_FORM_P_MAX):
-        raise InvalidInputError("closed form only valid for 1 < p <= 8")
-    return (
-        p / (p + 2.0) * 2.0**p / (2.0**p - 1.0) * ((p + 1.0) * (p + 2.0) / 4.0) ** (1.0 / p)
-    )
 
 
 def curse_constants(p: float) -> CurseConstants:
@@ -237,122 +217,3 @@ def nw10_l2_lower(eps: float, d: int) -> float:
     if not (0.0 <= eps <= 1.0):
         raise InvalidInputError("eps must lie in [0, 1]")
     return (1.0 - eps**2) * 2.25**d
-
-
-# ---------------------------------------------------------------------------
-# diagnostics for the p > 8 regime, in the rescaled variable a = (p+1) y
-
-
-def log_curvature_at_half(p: float) -> float:
-    """Second derivative of log norm_ratio at y = 1/2:
-
-    -p (p+1) 2^(2-p) / (1 - 2^-p) + 8/p.
-
-    Negative on 1 < p <= 8 (1/2 is a local max), positive for large p.
-    """
-    p = _check_p_over_1(p, "curvature diagnostic needs p > 1")
-    scale, lead = 2.0 ** (2.0 - p), -p * (p + 1.0)
-    # p (p+1) overflows above p ~ 1.3e154, where 2^(2-p) is already 0:
-    # scaling before the factor p + 1 there gives the limit 8/p, not NaN
-    term = lead * scale if lead > -math.inf else -p * scale * (p + 1.0)
-    return term / (1.0 - 2.0**-p) + 8.0 / p
-
-
-def envelope(p: float, a):
-    """Upper envelope of the norm-ratio profile in a = (p+1) y:
-
-    G_p(a) = ((p+2)/p) (1 - e^(-2a)) (2 / ((p+2) a))^(1/p),  a > 0.
-
-    norm_ratio(p, y) <= envelope(p, (p+1) y) for y in (0, 1/2]; showing
-    the envelope stays below 1 certifies B_p < 1.
-    """
-    p = _check_finite_p(p)
-    a = _check_all(a, lambda a: a > 0.0, "rescaled variable must be positive")
-    v = (p + 2.0) / p * (1.0 - np.exp(-2.0 * a)) * (2.0 / ((p + 2.0) * a)) ** (1.0 / p)
-    return float(v) if v.ndim == 0 else v
-
-
-def envelope_tilde(p: float, a):
-    """Rational variant of the envelope:
-
-    Gt_p(a) = ((p+2)/p) (2 a p / (1 + 2 a p)) (2 / ((p+2) a))^(1/p).
-
-    At the stationary point a* of the exponential envelope the two agree
-    exactly (the stationarity condition says 1 - e^(-2a*) equals the
-    rational factor), so the single interior peak of Gt dominates the
-    maximum of G.  That peak has a closed form, see `envelope_tilde_peak`.
-    """
-    p = _check_finite_p(p)
-    a = _check_all(a, lambda a: a > 0.0, "rescaled variable must be positive")
-    v = (
-        (p + 2.0)
-        / p
-        * (2.0 * a * p / (1.0 + 2.0 * a * p))
-        * (2.0 / ((p + 2.0) * a)) ** (1.0 / p)
-    )
-    return float(v) if v.ndim == 0 else v
-
-
-def envelope_tilde_peak(p: float) -> tuple[float, float]:
-    """Stationary point of the rational envelope and its value:
-
-    a = (p-1)/(2p),  Gt_p = ((p-1)(p+2)/p)^(1-1/p) 4^(1/p) / p.
-
-    The value is below 1 for 8 < p < 11, covering the gap between the
-    closed-form regime and the exponential envelope regime.
-    """
-    p = _check_p_over_1(p, "peak diagnostic needs p > 1")
-    a_peak = (p - 1.0) / (2.0 * p)
-    e, prod = 1.0 - 1.0 / p, (p - 1.0) * (p + 2.0)
-    # factor by factor where the product overflows (p > ~1.3e154); the value tends to 1
-    base = (prod / p) ** e if prod < math.inf else (p - 1.0) ** e * ((p + 2.0) / p) ** e
-    return a_peak, base * 4.0 ** (1.0 / p) / p
-
-
-def envelope_stationary_point(p: float) -> float:
-    """Root a* of g(a) = 1 - e^(2a) + 2 a p = 0, the unique positive
-    stationary point of the exponential envelope.  With L = ln p it is
-    bracketed by g(L/2) = 1 - p + p L > 0 and g(max(1, (L + ln L + 1)/2))
-    < 0 (for p >= e, e^(2a) = e p L there); p whose upper end overflows
-    e^(2a), above about 1e305, raise."""
-    p = _check_p_over_1(p, "stationary point needs p > 1")
-    from scipy.optimize import brentq
-
-    def g(a: float) -> float:  # expm1 keeps g accurate where a* is near 0 (p near 1)
-        return 2.0 * a * p - math.expm1(2.0 * a)
-
-    log_p = math.log(p)
-    hi = max(1.0, 0.5 * (log_p + math.log(log_p) + 1.0))
-    if 2.0 * hi >= np.log(np.finfo(np.float64).max):
-        raise InvalidInputError(f"stationary point at p = {p} overflows binary64")
-    # a* > 0, so only the relative tolerance should stop the search
-    return float(brentq(g, 0.5 * log_p, hi, xtol=1e-300, rtol=8.9e-16))
-
-
-@dataclass(frozen=True)
-class RatioDiagnostics:
-    """Everything needed to audit B_p < 1 outside the closed-form regime."""
-
-    p: float
-    curvature_at_half: float
-    a_star: float
-    a_star_residual: float
-    envelope_at_a_star: float
-    tilde_peak_location: float
-    tilde_peak_value: float
-
-
-def ratio_diagnostics(p: float) -> RatioDiagnostics:
-    p = _check_p_over_1(p, "diagnostics need p > 1")
-    a_star = envelope_stationary_point(p)
-    residual = abs(1.0 - math.exp(2.0 * a_star) + 2.0 * a_star * p)
-    peak_loc, peak_val = envelope_tilde_peak(p)
-    return RatioDiagnostics(
-        p=p,
-        curvature_at_half=log_curvature_at_half(p),
-        a_star=a_star,
-        a_star_residual=residual,
-        envelope_at_a_star=float(envelope(p, a_star)),
-        tilde_peak_location=peak_loc,
-        tilde_peak_value=peak_val,
-    )

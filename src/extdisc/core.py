@@ -532,10 +532,15 @@ def _parse_header(fields: list[str], lineno: int) -> tuple[int, bool]:
 
 
 def _read_lines(path: str | Path) -> list[str]:
-    """The file's lines, split as universal-newline text mode splits them."""
+    """The file's lines, split as universal-newline text mode splits them.
+
+    One leading byte-order mark, as spreadsheet "CSV UTF-8" exports write,
+    is dropped.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read().split("\n")
+            text = fh.read()
+        return text.removeprefix("\ufeff").split("\n")
     except UnicodeDecodeError as exc:  # exc.object holds the whole file's bytes
         lineno = len((exc.object[: exc.start] + b".").splitlines())
         raise InvalidInputError(f"{path}: line {lineno} is not UTF-8 text") from None

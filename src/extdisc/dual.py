@@ -5,9 +5,9 @@ box-integrand space equals the extreme L_p discrepancy of its nodes.  This
 module provides the pieces of that correspondence that admit closed forms:
 
 * the unit-norm worst-case integrand h (product of a fixed 1-d profile),
-* the minimal-norm spline interpolating h at a single node y,
+* the norm of the minimal-norm spline interpolating h at a single node y,
 * the extremal coefficient function c* saturating the error bound,
-* a numeric applier of the coefficient-to-integrand operator for checks.
+* a Monte Carlo audit of the duality identities for one rule.
 
 Finite p is the discrepancy exponent; q = p/(p-1) is the conjugate
 exponent measuring coefficient norms.
@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BoxPair,
-    InvalidInputError,
-    Method,
-    PointSet,
-    WeightSet,
-    local_discrepancy,
-)
+from .core import InvalidInputError, Method, PointSet, WeightSet
 from .engines import (
     DEFAULT_CELL_BUDGET,
     CellDecomposition,
@@ -78,14 +71,6 @@ def _in_unit(x):
     return (0.0 <= x) & (x <= 1.0)
 
 
-def _check_unit_value(x, name: str) -> float:
-    """x as one float in [0, 1]; raises naming `name` otherwise (NaN included)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim:
-        raise InvalidInputError(f"{name} must be a single value")
-    return float(_check_all(x, _in_unit, f"{name} must lie in [0, 1]"))
-
-
 def _pair_power(p: float, e):
     """((p+1)(p+2))^e, factor by factor where the product overflows (p > ~1.3e154)."""
     prod = (p + 1.0) * (p + 2.0)
@@ -124,29 +109,7 @@ def worst_case_1d(p: float, x):
 
 
 # ---------------------------------------------------------------------------
-# minimal-norm interpolating spline at one node
-
-
-def _mix_kernel(x, y):
-    """min(x, y) - x y, the mass of boxes covering both x and y."""
-    return np.minimum(x, y) - x * y
-
-
-def spline_eval(p: float, y: float, x):
-    """Minimal-norm interpolant of the worst-case profile at node y.
-
-    s_y(x) = h(y) (min(x, y) - x y) / (y (1 - y)); it matches h at y, is
-    piecewise linear with a kink at y, and vanishes at the cube edges.
-    For y in {0, 1} the spline degenerates to zero.
-    """
-    p = _check_finite_p(p)
-    y = _check_unit_value(y, "node")
-    x = _check_all(x, _in_unit, "arguments must lie in [0, 1]")
-    if y == 0.0 or y == 1.0:
-        v = np.zeros_like(x)
-    else:
-        v = worst_case_1d(p, y) * _mix_kernel(x, y) / (y * (1.0 - y))
-    return float(v) if v.ndim == 0 else v
+# norm of the minimal-norm interpolating spline at one node
 
 
 def spline_norm(p: float, y):
@@ -161,13 +124,6 @@ def spline_norm(p: float, y):
     mass = np.where(interior, y * (1.0 - y), 1.0)
     v = np.where(interior, worst_case_1d(p, y) * mass ** (-1.0 / p), 0.0)
     return float(v) if v.ndim == 0 else v
-
-
-def spline_integral(p: float, y: float) -> float:
-    """Integral over [0, 1] of the node-y spline, h(y) / 2."""
-    p = _check_finite_p(p)
-    y = _check_unit_value(y, "node")
-    return 0.5 * worst_case_1d(p, y)
 
 
 # ---------------------------------------------------------------------------
@@ -189,53 +145,6 @@ def representer_value(p: float, delta, norm_p: float):
     # delta = 0 evaluates to 0 for every p >= 1 without special-casing
     v = np.sign(delta) * np.abs(delta) ** (p - 1.0) / norm_p ** (p - 1.0)
     return float(v) if v.ndim == 0 else v
-
-
-def extremal_representer(
-    ps: PointSet, ws: WeightSet, p: float, norm_p: float, lower, upper
-) -> float:
-    """Extremal coefficient of a rule, evaluated at one box pair."""
-    delta = local_discrepancy(ps, ws, BoxPair(lower, upper))
-    return float(representer_value(p, delta, norm_p))
-
-
-# ---------------------------------------------------------------------------
-# numeric coefficient-to-integrand operator (1-d)
-
-
-# Gauss-Legendre panels per segment of `box_operator_1d`, and nodes per panel
-_PANELS, _ORDER = 8, 16
-
-
-def box_operator_1d(c, x: float, breakpoints=()) -> float:
-    """Numeric value at x of the integrand with box coefficient c.
-
-    Integrates c(a, b) over a in [0, x], b in [x, 1], the set of boxes
-    covering x.  Tensor Gauss-Legendre panels; pass the locations where c
-    jumps through `breakpoints` so panel edges align with them, otherwise
-    the rule converges slowly.  c must accept numpy array arguments.
-    """
-    x = _check_unit_value(x, "x")
-    nodes, wts = np.polynomial.legendre.leggauss(_ORDER)
-
-    def segment_nodes(lo: float, hi: float):
-        cuts = [lo] + sorted(b for b in breakpoints if lo < b < hi) + [hi]
-        xs, ws_ = [], []
-        for s0, s1 in zip(cuts[:-1], cuts[1:]):
-            edges = np.linspace(s0, s1, _PANELS + 1)
-            for e0, e1 in zip(edges[:-1], edges[1:]):
-                half = 0.5 * (e1 - e0)
-                xs.append(0.5 * (e0 + e1) + half * nodes)
-                ws_.append(half * wts)
-        return np.concatenate(xs), np.concatenate(ws_)
-
-    if x == 0.0 or x == 1.0:
-        # one side of the anchor domain degenerates to a point
-        return 0.0
-    a_nodes, a_wts = segment_nodes(0.0, x)
-    b_nodes, b_wts = segment_nodes(x, 1.0)
-    vals = c(a_nodes[:, None], b_nodes[None, :])
-    return float(a_wts @ vals @ b_wts)
 
 
 # ---------------------------------------------------------------------------

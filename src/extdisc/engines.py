@@ -118,6 +118,17 @@ class CellDecomposition:
         """Ordered pairs k(k+1)/2 per axis, k = grid lines - drop (1: intervals, 0: lines)."""
         return [k * (k + 1) // 2 for k in (len(g) - drop for g in self.gammas)]
 
+    def _check_budget(self, drop: int, budget: int, noun: str, fallback: str) -> None:
+        """Raise unless the pair count for `drop` (as in `_pair_counts`) fits budget."""
+        counts = self._pair_counts(drop)
+        total = math.prod(counts)
+        if total > budget:
+            nbytes = 8 * (len(self.gammas[0]) + 1) * math.prod(counts[1:])
+            raise BudgetExceededError(
+                f"{total} {noun} exceed budget {budget} (a {nbytes}-byte differenced "
+                f"table); use {fallback} instead"
+            )
+
     def interval_pair_count(self) -> int:
         """Cells for finite-p integration: ordered interval pairs per axis."""
         return math.prod(self._pair_counts(1))
@@ -245,14 +256,7 @@ def extreme_lp_exact_even_p(
             f"p = {p} needs {p + 1} terms per cell, over budget {cell_budget}; use extreme_lp_mc"
         )
     cd = CellDecomposition.from_points(ps)
-    ncells = cd.interval_pair_count()
-    if ncells > cell_budget:
-        columns = math.prod(cd._pair_counts(1)[1:])
-        nbytes = 8 * (len(cd.gammas[0]) + 1) * columns
-        raise BudgetExceededError(
-            f"{ncells} cells exceed budget {cell_budget} (a {nbytes}-byte differenced "
-            "table); use extreme_lp_mc instead"
-        )
+    cd._check_budget(1, cell_budget, "cells", "extreme_lp_mc")
     # ordered interval pairs (s, t), s <= t, lexicographic on every axis
     pairs = [np.triu_indices(len(g) - 1) for g in cd.gammas]
     moments = [_interval_integrals(g, s, t, p) for g, (s, t) in zip(cd.gammas, pairs)]
@@ -308,14 +312,7 @@ def extreme_linf_exact(
     _check_pair(ps, ws)
     _check_count("box_budget", box_budget, 1)
     cd = CellDecomposition.from_points(ps)
-    nboxes = cd.grid_pair_count()
-    if nboxes > box_budget:
-        columns = math.prod(cd._pair_counts(0)[1:])
-        nbytes = 8 * (len(cd.gammas[0]) + 1) * columns
-        raise BudgetExceededError(
-            f"{nboxes} boxes exceed budget {box_budget} (a {nbytes}-byte differenced "
-            "table); use extreme_linf_lower_mc instead"
-        )
+    cd._check_budget(0, box_budget, "boxes", "extreme_linf_lower_mc")
     prefix = cd.prefix_weights(ws.values)
     # each entry of the table is a +- sum of 2^(d-1) prefix entries, so
     # |T| <= big, and |g R| <= 1; the two roundings of a box value differ by

@@ -51,7 +51,11 @@ class GeneratorSpec:
 def radical_inverse(base: int, k) -> np.ndarray:
     """Van der Corput radical inverse of k in the given base, in [0, 1)."""
     _check_count("radical inverse base", base, 2)
-    k = np.atleast_1d(np.asarray(k, dtype=np.int64)).copy()
+    k = np.atleast_1d(np.asarray(k))
+    # an empty list reads as float64; 2.7 would truncate and 2**70 overflow
+    if k.size and not (k.dtype.kind in "iu" and k.max() <= np.iinfo(np.int64).max):
+        raise InvalidInputError("radical inverse needs integer k that fit in int64")
+    k = k.astype(np.int64)
     if k.size and k.min() < 0:
         raise InvalidInputError("radical inverse needs k >= 0")
     out = np.zeros(k.shape)

@@ -19,14 +19,9 @@ from extdisc import (
     PointSet,
     WeightKind,
     WeightSet,
-    box_operator_1d,
     certificate_lower_bound,
     curse_base,
-    curse_base_closed_form,
     curse_constants,
-    envelope,
-    envelope_stationary_point,
-    envelope_tilde_peak,
     equal_weights,
     error_lower_bound,
     extreme_l2_exact,
@@ -38,15 +33,23 @@ from extdisc import (
     gnewuch_linf_upper,
     initial_error,
     integral_ratio_max,
-    log_curvature_at_half,
     min_points_lower_bound,
-    norm_ratio,
     norm_ratio_max,
     nw10_l2_lower,
     save_points,
+    spline_norm,
+    worst_case_1d,
+)
+
+from dual_checks import (
+    box_operator_1d,
+    curse_base_closed_form,
+    envelope,
+    envelope_stationary_point,
+    envelope_tilde_peak,
+    log_curvature_at_half,
     spline_eval,
     spline_integral,
-    worst_case_1d,
 )
 
 
@@ -174,7 +177,7 @@ def test_criterion_5_large_p_diagnostics():
         assert peak < 1.0
     for p in (8.0, 11.0, 20.0):
         ys = np.concatenate([np.geomspace(1e-8, 0.5, 500), np.linspace(1e-3, 0.5, 500)])
-        assert np.all(norm_ratio(p, ys) <= envelope(p, (p + 1.0) * ys) + 1e-12)
+        assert np.all(spline_norm(p, ys) <= envelope(p, (p + 1.0) * ys) + 1e-12)
     print("ACCEPTANCE CRITERION 5: PASS (curvature, stationary points, envelopes)")
 
 

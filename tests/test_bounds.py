@@ -13,28 +13,30 @@ from extdisc import (
     PointSet,
     certificate_lower_bound,
     curse_base,
-    curse_base_closed_form,
     curse_constants,
-    envelope,
-    envelope_stationary_point,
-    envelope_tilde,
-    envelope_tilde_peak,
     equal_weights,
     error_lower_bound,
     extreme_l2_exact,
     gnewuch_linf_upper,
     initial_error,
     integral_ratio_max,
-    log_curvature_at_half,
     min_points_lower_bound,
-    norm_ratio,
     norm_ratio_max,
     nw10_l2_lower,
-    ratio_diagnostics,
     spline_norm,
 )
 from extdisc.bounds import _norm_ratio_max_numeric
 from extdisc.generators import GeneratorKind, GeneratorSpec, generate
+
+from dual_checks import (
+    curse_base_closed_form,
+    envelope,
+    envelope_stationary_point,
+    envelope_tilde,
+    envelope_tilde_peak,
+    log_curvature_at_half,
+    ratio_diagnostics,
+)
 
 
 class TestIntegralRatio:
@@ -48,10 +50,6 @@ class TestIntegralRatio:
 
 
 class TestNormRatio:
-    def test_profile_is_spline_norm(self):
-        ys = np.linspace(0.05, 0.95, 19)
-        assert np.array_equal(norm_ratio(3.0, ys), spline_norm(3.0, ys))
-
     def test_closed_form_at_two(self):
         b, y_star, method = norm_ratio_max(2.0)
         assert b == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
@@ -75,7 +73,7 @@ class TestNormRatio:
         assert y50 == pytest.approx(0.1088, abs=2e-3)
         # off-center maximum strictly beats the center value
         for p, b in [(11.0, b11), (20.0, b20), (50.0, b50)]:
-            assert b > float(norm_ratio(p, 0.5)) + 1e-4
+            assert b > float(spline_norm(p, 0.5)) + 1e-4
 
     def test_ratio_identity_when_centered(self):
         # with y* = 1/2, B_p/A_p collapses to 2 (4/((p+1)(p+2)))^(1/p)
@@ -287,7 +285,7 @@ class TestDiagnostics:
     @pytest.mark.parametrize("p", [8.0, 11.0, 20.0])
     def test_profile_below_envelope(self, p):
         ys = np.concatenate([np.geomspace(1e-8, 0.5, 300), np.linspace(1e-3, 0.5, 300)])
-        f = norm_ratio(p, ys)
+        f = spline_norm(p, ys)
         g = envelope(p, (p + 1.0) * ys)
         assert np.all(f <= g + 1e-12)
 

@@ -749,6 +749,23 @@ class TestPointFiles:
         with pytest.raises(InvalidInputError, match="dimension"):
             load_points(f, d=3)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["x1,x2\n0.5,0.25\n0.75,0.5\n", "0.5,0.25\n0.75,0.5\n"],
+        ids=["header", "headerless"],
+    )
+    def test_byte_order_mark_is_dropped(self, tmp_path, text):
+        # spreadsheet "CSV UTF-8" exports start with U+FEFF
+        f = tmp_path / "bom.csv"
+        f.write_text("\ufeff" + text, encoding="utf-8")
+        ps, ws = load_points(f)
+        assert np.array_equal(ps.coords, [[0.5, 0.25], [0.75, 0.5]])
+        assert ws.kind is WeightKind.QMC
+        f.write_text("\ufeff" + text + "0.3,1.2\n", encoding="utf-8")
+        line = len(text.splitlines()) + 1
+        with pytest.raises(InvalidInputError, match=f"line {line}, column 2"):
+            load_points(f)
+
     def test_non_utf8_file_names_the_line(self, tmp_path):
         f = tmp_path / "u.csv"
         f.write_bytes(b"x1\r\n0.5\r\n# caf\xc3\xa9\r\n0.7\xff\n")

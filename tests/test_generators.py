@@ -45,6 +45,21 @@ class TestRadicalInverse:
     def test_numpy_integer_base_accepted(self):
         assert np.array_equal(radical_inverse(np.int64(3), [1, 2]), radical_inverse(3, [1, 2]))
 
+    @pytest.mark.parametrize(
+        "k", [[1.5, 2.7], [math.nan], [2**70], [2**63], [True], ["1"]],
+        ids=["fraction", "nan", "huge", "past_int64", "bool", "string"],
+    )
+    def test_non_integer_index_rejected(self, k):
+        # fractions used to truncate to the value at floor(k)
+        with pytest.raises(InvalidInputError, match="integer k that fit in int64"):
+            radical_inverse(2, k)
+
+    def test_integer_index_kinds_accepted(self):
+        expect = radical_inverse(3, [1, 2, 5])
+        assert np.array_equal(radical_inverse(3, np.array([1, 2, 5], dtype=np.uint8)), expect)
+        assert np.array_equal(radical_inverse(3, np.int32(5)), expect[2:])
+        assert radical_inverse(3, []).shape == (0,)
+
 
 class TestKinds:
     def test_vdc_1d(self):

@@ -18,24 +18,16 @@ PUBLIC = [
     "InvalidInputError",
     "Method",
     "PointSet",
-    "RatioDiagnostics",
     "WeightKind",
     "WeightSet",
-    "box_operator_1d",
     "certificate_lower_bound",
     "classify_weights",
     "conjugate_exponent",
     "curse_base",
-    "curse_base_closed_form",
     "curse_constants",
     "duality_gap_mc",
-    "envelope",
-    "envelope_stationary_point",
-    "envelope_tilde",
-    "envelope_tilde_peak",
     "equal_weights",
     "error_lower_bound",
-    "extremal_representer",
     "extreme_l2_exact",
     "extreme_linf_exact",
     "extreme_linf_lower_mc",
@@ -47,19 +39,14 @@ PUBLIC = [
     "integral_ratio_max",
     "load_points",
     "local_discrepancy",
-    "log_curvature_at_half",
     "min_points_lower_bound",
-    "norm_ratio",
     "norm_ratio_max",
     "nw10_l2_lower",
     "points_csv",
     "radical_inverse",
-    "ratio_diagnostics",
     "representer_value",
     "sample_box_pairs",
     "save_points",
-    "spline_eval",
-    "spline_integral",
     "spline_norm",
     "substream",
     "worst_case_1d",

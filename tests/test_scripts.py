@@ -23,6 +23,12 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
             "p,a_p,b_p,y_star,c_p,b_method,min_points_d5,min_points_d10,min_points_d20",
         ),
         ("mc_calibration.py", ["--reps", "3"], "samples,z_mean,z_std,max_abs_z,frac_within_3"),
+        (
+            "dual_checks.py",
+            ["--p", "9", "--op-p", "2", "--op-y", "0.3", "--op-x", "0.5"],
+            "p,curvature_at_half,a_star,a_star_residual,envelope_at_a_star,"
+            "tilde_peak_location,tilde_peak_value",
+        ),
     ],
 )
 def test_script_runs(script, args, header):
