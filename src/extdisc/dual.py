@@ -20,17 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidInputError, Method, PointSet, WeightSet
-from .engines import (
-    DEFAULT_CELL_BUDGET,
-    CellDecomposition,
-    _accepts,
-    _check_sampling,
-    _lp_moment,
-    extreme_l2_exact,
-    extreme_lp_exact_even_p,
-    extreme_lp_mc,
-)
+from .core import InvalidInputError, PointSet, WeightSet
+from .engines import _check_sampling, _evaluate, _lp_moment
 
 
 def conjugate_exponent(p: float) -> float:
@@ -210,23 +201,16 @@ def duality_gap_mc(
 ) -> DualityCheck:
     """Monte Carlo audit of the duality identities for one rule.
 
-    The norm is computed exactly when p is 2, or an even integer whose
-    cell count fits `DEFAULT_CELL_BUDGET`, and by an independent Monte
-    Carlo stream otherwise; `norm_method` names the engine that ran.  The
-    pairing then comes from fresh sampled boxes: it is the L_p sampler's
-    integral of |delta|^p at `seed`, over norm^(p-1).  Its target is norm,
-    reported with a delta-free z-score.
+    The norm comes from `engines._evaluate`: exact when p is 2, or an even
+    integer whose cell count fits the default cell budget, and from an
+    independent Monte Carlo stream otherwise; `norm_method` names the
+    engine that ran.  The pairing then comes from fresh sampled boxes: it
+    is the L_p sampler's integral of |delta|^p at `seed`, over norm^(p-1).
+    Its target is norm, reported with a delta-free z-score.
     """
     p = _check_p_over_1(p, "duality audit needs p > 1 (q finite)")
     _check_sampling(ps, ws, samples, seed, workers, least=2)
-    if _accepts(Method.L2_EXACT, p):
-        res = extreme_l2_exact(ps, ws)
-    elif _accepts(Method.EVEN_P_EXACT, p) and (
-        CellDecomposition.from_points(ps).interval_pair_count() <= DEFAULT_CELL_BUDGET
-    ):
-        res = extreme_lp_exact_even_p(ps, ws, p)
-    else:
-        res = extreme_lp_mc(ps, ws, p, samples, seed + _NORM_STREAM_OFFSET, workers)
+    res = _evaluate(ps, ws, p, samples, seed + _NORM_STREAM_OFFSET, workers)
     norm = res.value
     if norm <= 0.0:
         raise InvalidInputError("rule has zero discrepancy, nothing to audit")

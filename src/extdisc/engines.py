@@ -9,11 +9,13 @@ evaluation is supported for p = 2 (closed form) and all even integers
 (piecewise-polynomial cell integration); other finite p go through Monte
 Carlo.  The sup norm has an exact grid enumeration and a sampled hard
 lower bound.  One table, `_EXPONENT_RULES`, holds the exponents each
-`Method` accepts, for the engines and the CLI alike.  Every sampler,
-`dual.duality_gap_mc` included, runs on one chunked core, `_sample`; the
-L_p sampler and the duality audit share one statistic, the sampled
-integral of |delta|^p (`_lp_moment`).  A finite rule misses boxes of
-positive volume, so a total that is not positive is an error, never 0.
+`Method` accepts, for the engines, the CLI and `_evaluate`, the duality
+audit's norm engine choice.  Every sampler, `dual.duality_gap_mc`
+included, runs on one chunked core, `_sample`; the L_p sampler and the
+audit share one statistic, the sampled integral of |delta|^p
+(`_lp_moment`).  A finite rule misses boxes of positive volume, so a
+total that is not positive is an error, never 0; so is a sum past the
+float maximum.
 
 The grid engines never build a point-by-box membership matrix: every
 weighted count is a difference of one cumulative weighted histogram over
@@ -118,24 +120,19 @@ class CellDecomposition:
         """Ordered pairs k(k+1)/2 per axis, k = grid lines - drop (1: intervals, 0: lines)."""
         return [k * (k + 1) // 2 for k in (len(g) - drop for g in self.gammas)]
 
+    def _fits(self, drop: int, budget: int) -> bool:
+        """Whether the pair count for `drop` (as in `_pair_counts`) fits budget."""
+        return math.prod(self._pair_counts(drop)) <= budget
+
     def _check_budget(self, drop: int, budget: int, noun: str, fallback: str) -> None:
-        """Raise unless the pair count for `drop` (as in `_pair_counts`) fits budget."""
-        counts = self._pair_counts(drop)
-        total = math.prod(counts)
-        if total > budget:
+        """Raise unless `_fits(drop, budget)`."""
+        if not self._fits(drop, budget):
+            counts = self._pair_counts(drop)
             nbytes = 8 * (len(self.gammas[0]) + 1) * math.prod(counts[1:])
             raise BudgetExceededError(
-                f"{total} {noun} exceed budget {budget} (a {nbytes}-byte differenced "
-                f"table); use {fallback} instead"
+                f"{math.prod(counts)} {noun} exceed budget {budget} (a {nbytes}-byte "
+                f"differenced table); use {fallback} instead"
             )
-
-    def interval_pair_count(self) -> int:
-        """Cells for finite-p integration: ordered interval pairs per axis."""
-        return math.prod(self._pair_counts(1))
-
-    def grid_pair_count(self) -> int:
-        """Candidate boxes for sup-norm enumeration: ordered grid pairs."""
-        return math.prod(self._pair_counts(0))
 
     def prefix_weights(self, weights: np.ndarray) -> np.ndarray:
         """Cumulative weighted histogram over the breakpoint grids.
@@ -250,13 +247,21 @@ def extreme_lp_exact_even_p(
     _check_pair(ps, ws)
     _check_exponent(Method.EVEN_P_EXACT, p)
     _check_count("cell_budget", cell_budget, 1)
-    p = int(p)
+    return _even_p_cells(CellDecomposition.from_points(ps), ws, int(p), cell_budget)
+
+
+def _even_p_cells(cd, ws: WeightSet, p: int, cell_budget: int) -> DiscrepancyResult:
+    """`extreme_lp_exact_even_p` on the decomposition cd of the checked points."""
     if p + 1 > cell_budget:  # the work is at least p + 1 binomial terms
         raise BudgetExceededError(
             f"p = {p} needs {p + 1} terms per cell, over budget {cell_budget}; use extreme_lp_mc"
         )
-    cd = CellDecomposition.from_points(ps)
     cd._check_budget(1, cell_budget, "cells", "extreme_lp_mc")
+    overflow = f"the terms of the even-p cell sum overflow binary64 at p = {p}"
+    # the largest binomial coefficient passes the float maximum from p = 1030 on;
+    # it is at least 2^(p/2), so past 2 max_exp it is not built to see that
+    if p >= 2 * sys.float_info.max_exp or math.comb(p, p // 2) > sys.float_info.max:
+        raise InvalidInputError(overflow)
     # ordered interval pairs (s, t), s <= t, lexicographic on every axis
     pairs = [np.triu_indices(len(g) - 1) for g in cd.gammas]
     moments = [_interval_integrals(g, s, t, p) for g, (s, t) in zip(cd.gammas, pairs)]
@@ -275,16 +280,21 @@ def extreme_lp_exact_even_p(
     # one part per (axis-0 pair, binomial term); the terms alternate in
     # sign and cancel, so they are summed exactly by fsum
     parts: list[np.ndarray] = []
-    for start in range(0, len(lo), step):
-        rows = slice(start, start + step)
-        counts = table[hi[rows]] - table[lo[rows]]
-        for i in range(p + 1):
-            if i == p:
-                sums = rest_total
-            else:
-                power = counts if i == p - 1 else counts ** (p - i)
-                sums = np.sum(power * rest[i], axis=1)
-            parts.append(coeffs[i] * moments[0][i][rows] * sums)
+    # a count power or product past the float maximum becomes inf or NaN,
+    # and the check below turns it into one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(lo), step):
+            rows = slice(start, start + step)
+            counts = table[hi[rows]] - table[lo[rows]]
+            for i in range(p + 1):
+                if i == p:
+                    sums = rest_total
+                else:
+                    power = counts if i == p - 1 else counts ** (p - i)
+                    sums = np.sum(power * rest[i], axis=1)
+                parts.append(coeffs[i] * moments[0][i][rows] * sums)
+    if not all(np.isfinite(part).all() for part in parts):
+        raise InvalidInputError(overflow)
     total = math.fsum(chain.from_iterable(parts))
     if not total > 0.0:
         raise InternalConsistencyError(f"p-th power total {total} is not positive")
@@ -433,8 +443,11 @@ def _sample(ps: PointSet, ws: WeightSet, samples: int, seed: int, workers: int, 
         return list(pool.map(run_chunk, range(len(sizes))))
 
 
-def _sums(y: np.ndarray) -> tuple[float, float]:
-    return float(np.sum(y)), float(np.sum(y * y))
+def _power_sums(delta: np.ndarray, p: float) -> tuple[float, float]:
+    """(sum y, sum y^2) of y = |delta|^p; past the float maximum a sum is inf."""
+    with np.errstate(over="ignore"):
+        y = np.abs(delta) ** p
+        return float(np.sum(y)), float(np.sum(y * y))
 
 
 def _lp_moment(
@@ -445,12 +458,21 @@ def _lp_moment(
     Both are 2^-d times the sample mean and its stderr, from the per-chunk
     (sum y, sum y^2) of y = |delta|^p summed in chunk order; a power-of-two
     scale is exact, so where it is applied does not change a bit.  When
-    the squares sum below the smallest normal float the sample holds no
-    usable estimate, and this raises.
+    the square of the sum passes the float maximum, or the squares sum
+    below the smallest normal float, the sample holds no usable estimate
+    (the variance needs both), and this raises.
     """
-    sums = _sample(ps, ws, samples, seed, workers, lambda delta: _sums(np.abs(delta) ** p))
-    total = math.fsum(s[0] for s in sums)
-    total_sq = math.fsum(s[1] for s in sums)
+    sums = _sample(ps, ws, samples, seed, workers, lambda delta: _power_sums(delta, p))
+    try:
+        total = math.fsum(s[0] for s in sums)
+        total_sq = math.fsum(s[1] for s in sums)
+    except OverflowError:  # finite chunk sums whose total passes the float maximum
+        total = math.inf
+    # for y >= 0, (sum y)^2 >= sum y^2: this also catches an overflow of the squares
+    if not total * total < math.inf:
+        raise InvalidInputError(
+            f"sampled |delta|^p overflows at p = {p}, d = {ps.d}: no estimate in binary64"
+        )
     if total_sq < sys.float_info.min:
         raise InvalidInputError(
             f"sampled |delta|^p underflows at p = {p}, d = {ps.d}: no estimate in binary64"
@@ -502,3 +524,18 @@ def extreme_linf_lower_mc(
     return DiscrepancyResult(
         max(maxima), math.inf, Method.LINF_SAMPLED, stderr=0.0, samples=samples, seed=seed
     )
+
+
+
+def _evaluate(ps: PointSet, ws: WeightSet, p, samples, seed, workers) -> DiscrepancyResult:
+    """The audit's L_p: closed form at p = 2, cells at an even p within budget, else sampled.
+
+    The cell engine runs on the decomposition built for its budget test.
+    """
+    if _accepts(Method.L2_EXACT, p):
+        return extreme_l2_exact(ps, ws)
+    if _accepts(Method.EVEN_P_EXACT, p):
+        cd = CellDecomposition.from_points(ps)
+        if cd._fits(1, DEFAULT_CELL_BUDGET):
+            return _even_p_cells(cd, ws, int(p), DEFAULT_CELL_BUDGET)
+    return extreme_lp_mc(ps, ws, p, samples, seed, workers)

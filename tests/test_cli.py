@@ -43,7 +43,8 @@ def check_result_schema(obj):
     assert obj["p"] == "inf" or isinstance(obj["p"], (int, float))
     assert isinstance(obj["d"], int) and isinstance(obj["n"], int)
     assert obj["method"] in {"l2-exact", "even-exact", "mc", "linf-exact", "linf-mc"}
-    assert isinstance(obj["value"], (int, float))
+    assert isinstance(obj["value"], (int, float)) and math.isfinite(obj["value"])
+    assert math.isfinite(obj.get("stderr", 0.0))
     sampled = obj["method"] in {"mc", "linf-mc"}
     assert ({"stderr", "samples", "seed"} <= set(obj)) == sampled
 
@@ -219,6 +220,27 @@ class TestDisc:
             "disc", "--input", one_center, "--method", "mc", "--samples", "100", "--seed", "1"
         )
         assert code == 2 and "exponent" in err
+
+
+@pytest.mark.parametrize(
+    "rows, argv",
+    [
+        ("0.5,0.5\n0.25,0.5\n", ("disc", "--method", "even-exact", "--p", "1030")),
+        ("0.5,0.5\n0.25,0.5\n", ("duality-check", "--p", "1100")),
+        ("0.5,3\n", ("disc", "--method", "even-exact", "--p", "700")),
+        ("0.5,3\n", ("disc", "--method", "mc", "--p", "700")),
+        ("0.5,3\n", ("duality-check", "--p", "701")),
+    ],
+)
+def test_overflow_exit_code(tmp_path, rows, argv):
+    # a sum past the float maximum is one error line, not a traceback or Infinity
+    f = tmp_path / "rule.csv"
+    f.write_text("x1,weight\n" + rows)
+    sampled = ("--samples", "70000", "--seed", "1")
+    code, out, err = run_cli(*argv, "--input", f, *sampled)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
+    assert f"p = {argv[-1]}" in err
 
 
 class TestConstants:

@@ -19,7 +19,12 @@ from extdisc import (
     worst_case_1d,
 )
 from extdisc.dual import _NORM_STREAM_OFFSET
-from extdisc.engines import _lp_moment, extreme_lp_exact_even_p, extreme_lp_mc
+from extdisc.engines import (
+    CellDecomposition,
+    _lp_moment,
+    extreme_lp_exact_even_p,
+    extreme_lp_mc,
+)
 from extdisc.generators import GeneratorKind, GeneratorSpec, generate
 
 from dual_checks import (
@@ -331,6 +336,21 @@ class TestDualityAudit:
         chk = duality_gap_mc(ps, ws, 4, 1000, seed=3)
         assert chk.norm_method == "even-exact"
         assert chk.norm == extreme_lp_exact_even_p(ps, ws, 4).value
+
+    @pytest.mark.parametrize("p, builds", [(2.0, 0), (3.0, 0), (4.0, 1)])
+    def test_grid_built_once(self, p, builds, monkeypatch):
+        # the even-p engine reuses the decomposition built for the cell-count test
+        calls = []
+        original = CellDecomposition.from_points.__func__
+
+        def counted(cls, ps):
+            calls.append(ps)
+            return original(cls, ps)
+
+        monkeypatch.setattr(CellDecomposition, "from_points", classmethod(counted))
+        ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, 64, 2))
+        duality_gap_mc(ps, ws, p, 1000, seed=3)
+        assert len(calls) == builds
 
     def test_mc_norm_path_uses_disjoint_streams(self):
         ps = PointSet([[0.3], [0.8]])

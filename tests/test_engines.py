@@ -783,6 +783,51 @@ class TestNoZeroResults:
             duality_gap_mc(ps, ws, 4.0, 20_000, seed=1)
 
 
+class TestOverflow:
+    """A sum past the float maximum is an InvalidInputError naming p, never inf or NaN."""
+
+    @pytest.mark.parametrize(
+        "points, weights, p",
+        [
+            # the central binomial coefficient of 1030 passes the float maximum
+            ([[0.5], [0.25]], [0.5, 0.5], 1030),
+            # the count 3 to the power 700 does
+            ([[0.5]], [3.0], 700),
+            # so does C(p, p/2) >= 2^(p/2), which is not built
+            ([[0.5]], [1.0], 10**6),
+        ],
+    )
+    def test_even_p_terms_overflow(self, points, weights, p):
+        ps, ws = PointSet(points), WeightSet(np.array(weights), WeightKind.NONNEG)
+        with pytest.raises(InvalidInputError, match=f"overflow binary64 at p = {p}$"):
+            extreme_lp_exact_even_p(ps, ws, p)
+
+    def test_even_p_below_overflow(self):
+        ps, ws = PointSet([[0.5]]), WeightSet(np.array([3.0]), WeightKind.NONNEG)
+        assert 2.0 < extreme_lp_exact_even_p(ps, ws, 100).value < 3.0
+
+    @pytest.mark.parametrize("p", [321.0, 350.0, 700.0])
+    def test_sampled_overflow_raises(self, p):
+        # at p = 321 the squares still sum to a finite value, but the square
+        # of the sum that the variance needs does not (the stderr read 0.0)
+        ps, ws = PointSet([[0.5]]), WeightSet(np.array([3.0]), WeightKind.NONNEG)
+        with pytest.raises(InvalidInputError, match=f"overflows at p = {p}, d = 1"):
+            extreme_lp_mc(ps, ws, p, 70_000, seed=1)
+        with pytest.raises(InvalidInputError, match=f"overflows at p = {p + 1}, d = 1"):
+            duality_gap_mc(ps, ws, p + 1, 70_000, seed=1)
+
+    def test_sampled_value_before_overflow(self):
+        ps, ws = PointSet([[0.5]]), WeightSet(np.array([3.0]), WeightKind.NONNEG)
+        res = extreme_lp_mc(ps, ws, 320.0, 70_000, seed=1)
+        assert 2.9 < res.value < 3.0 and 0.0 < res.stderr < 0.01
+
+    def test_chunk_sums_whose_total_overflows(self):
+        # each of the two chunks' sums of squares is finite, and their fsum is not
+        ps, ws = PointSet([[0.5]]), WeightSet(np.array([3.0]), WeightKind.NONNEG)
+        with pytest.raises(InvalidInputError, match="overflows at p = 322.4, d = 1"):
+            extreme_lp_mc(ps, ws, 322.4, 2 * CHUNK, seed=1)
+
+
 class TestGuards:
     def test_odd_or_bad_p_rejected(self):
         ps = PointSet([[0.5]])
@@ -837,8 +882,8 @@ class TestGuards:
         cd = CellDecomposition.from_points(ps)
         # axis 1 has breakpoints {0, .25, .75, 1}: 3 intervals, 6 pairs;
         # axis 2 has {0, .5, 1}: 2 intervals, 3 pairs
-        assert cd.interval_pair_count() == 6 * 3
-        assert cd.grid_pair_count() == 10 * 6
+        assert cd._pair_counts(1) == [6, 3]
+        assert cd._pair_counts(0) == [10, 6]
 
     def test_tiny_sample_counts_rejected(self):
         ps = PointSet([[0.5]])
