@@ -9,7 +9,8 @@ exponent p:
 * B_p, the largest ratio of spline norm to worst-case norm, the maximum
   over y of the profile `spline_norm`.  For p <= 8 the profile peaks at
   y = 1/2 and B_p is closed form; for larger p the peak moves toward the
-  edges and is located numerically.
+  edges and is located by a dense numpy scan, refined by rescanning the
+  bracket around its best point.
 
 C_p = min(1/A_p, 1/B_p) exceeds 1 for every finite p > 1, which forces the
 number of points needed to beat the empty rule to grow like C_p^d.
@@ -37,6 +38,7 @@ from .dual import (
 CLOSED_FORM_P_MAX = 8.0
 
 _SCAN_POINTS = 10_000
+_RESCAN_POINTS = 201
 _REFINE_XATOL = 1e-12
 
 
@@ -78,25 +80,21 @@ def _scan_grid() -> np.ndarray:
 
 
 def _norm_ratio_max_numeric(p: float) -> tuple[float, float]:
-    """Scan-plus-refine maximum of the norm-ratio profile over (0, 1/2]."""
-    from scipy.optimize import minimize_scalar  # scipy loads only for p > 8
-
+    """Scan-plus-rescan maximum over (0, 1/2]: the two steps around the best
+    point are rescanned until they span under `_REFINE_XATOL` or stop
+    shrinking, and only a strictly larger value moves the maximizer."""
     grid = _scan_grid()
-    vals = spline_norm(p, grid)
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    res = minimize_scalar(
-        lambda y: -spline_norm(p, y),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": _REFINE_XATOL},
-    )
-    y_star = float(res.x)
-    best = float(spline_norm(p, y_star))
-    if vals[k] > best:
-        best, y_star = float(vals[k]), float(grid[k])
-    return best, y_star
+    best, y_star, width = -math.inf, 0.0, math.inf
+    while True:
+        vals = spline_norm(p, grid)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, y_star = float(vals[k]), float(grid[k])
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        if not _REFINE_XATOL <= hi - lo < width:
+            return best, y_star
+        width = hi - lo
+        grid = np.linspace(lo, hi, _RESCAN_POINTS)
 
 
 def norm_ratio_max(p: float) -> tuple[float, float, BMethod]:
@@ -104,7 +102,7 @@ def norm_ratio_max(p: float) -> tuple[float, float, BMethod]:
 
     The profile is symmetric about 1/2, so the search is restricted to
     (0, 1/2].  For p <= 8 the maximum sits at 1/2 in closed form; beyond
-    that a dense scan plus bounded scalar refinement locates it.
+    that a dense scan, refined by rescans, locates it.
     """
     p = _check_finite_p(p)
     if p <= CLOSED_FORM_P_MAX:

@@ -167,6 +167,7 @@ def classify_weights(values: np.ndarray) -> WeightKind:
 
 
 def equal_weights(n: int) -> WeightSet:
+    _check_count("n", n)
     if n < 1:
         raise InvalidInputError("equal weights need n >= 1")
     return WeightSet(np.full(n, 1.0 / n), WeightKind.QMC)
@@ -481,6 +482,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     order or on any worker with identical output.
     """
     _check_count("seed", seed)
+    _check_count("substream index", index)
     if index < 0:
         raise InvalidInputError("substream index must be >= 0")
     key = np.array([int(seed) % 2**64, int(index) % 2**64], dtype=np.uint64)
@@ -493,6 +495,8 @@ def sample_box_pairs(rng, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     Per coordinate, two independent uniforms are drawn and sorted; the joint
     density of (lower, upper) is then 2^d on the set lower <= upper.
     """
+    _check_count("m", m, 0)
+    _check_count("d", d, 1)
     # two (m, d) draws give the values of one (2, m, d) draw but free the second
     a, b = rng.random((m, d)), rng.random((m, d))
     hi = np.maximum(a, b)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidInputError, PointSet, WeightSet
+from .core import InternalConsistencyError, InvalidInputError, PointSet, WeightSet
 from .engines import _check_sampling, _evaluate, _lp_moment
 
 
@@ -206,15 +206,24 @@ def duality_gap_mc(
     independent Monte Carlo stream otherwise; `norm_method` names the
     engine that ran.  The pairing then comes from fresh sampled boxes: it
     is the L_p sampler's integral of |delta|^p at `seed`, over norm^(p-1).
-    Its target is norm, reported with a delta-free z-score.
+    Its target is norm, reported with a delta-free z-score.  When both
+    fail, the pairing's overflow or underflow is raised before a norm
+    engine's `InternalConsistencyError`.
     """
     p = _check_p_over_1(p, "duality audit needs p > 1 (q finite)")
     _check_sampling(ps, ws, samples, seed, workers, least=2)
-    res = _evaluate(ps, ws, p, samples, seed + _NORM_STREAM_OFFSET, workers)
+    norm_error = None
+    try:
+        res = _evaluate(ps, ws, p, samples, seed + _NORM_STREAM_OFFSET, workers)
+    except InternalConsistencyError as exc:
+        norm_error = exc
+    # a pairing past binary64 is this p's limit for any engine: it is reported first
+    moment, moment_se = _lp_moment(ps, ws, p, samples, seed, workers)
+    if norm_error is not None:
+        raise norm_error
     norm = res.value
     if norm <= 0.0:
         raise InvalidInputError("rule has zero discrepancy, nothing to audit")
-    moment, moment_se = _lp_moment(ps, ws, p, samples, seed, workers)
     pairing_scale = norm ** (p - 1.0)
     return DualityCheck(
         p=p,

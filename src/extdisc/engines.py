@@ -15,7 +15,8 @@ included, runs on one chunked core, `_sample`; the L_p sampler and the
 audit share one statistic, the sampled integral of |delta|^p
 (`_lp_moment`).  A finite rule misses boxes of positive volume, so a
 total that is not positive is an error, never 0; so is a sum past the
-float maximum.
+float maximum, and an even-p value above S 2^(-d/p), a bound that every
+rule with S = max(sum w+, 1 + sum |w-|) meets.
 
 The grid engines never build a point-by-box membership matrix: every
 weighted count is a difference of one cumulative weighted histogram over
@@ -298,7 +299,17 @@ def _even_p_cells(cd, ws: WeightSet, p: int, cell_budget: int) -> DiscrepancyRes
     total = math.fsum(chain.from_iterable(parts))
     if not total > 0.0:
         raise InternalConsistencyError(f"p-th power total {total} is not positive")
-    return DiscrepancyResult(total ** (1.0 / p), float(p), Method.EVEN_P_EXACT)
+    # every box has |delta| <= S = max(sum w+, sum |w-| + 1) on an anchor domain
+    # of measure 2^-d, so no rule exceeds S 2^(-d/p); a cell sum whose terms
+    # cancelled can (ROADMAP item 2), and one under the bound can still be wrong
+    w = ws.values
+    bound = float(max(w[w > 0].sum(), 1.0 - w[w < 0].sum())) * 2.0 ** (-len(cd.gammas) / p)
+    value = total ** (1.0 / p)
+    if value > bound * (1.0 + 1e-12):
+        raise InternalConsistencyError(
+            f"even-p value {value!r} exceeds the bound {bound!r} of every rule at p = {p}"
+        )
+    return DiscrepancyResult(value, float(p), Method.EVEN_P_EXACT)
 
 
 # ---------------------------------------------------------------------------

@@ -177,11 +177,27 @@ class TestHugeP:
         assert (cert.initial_term, cert.interp_term, cert.norm_sum) == (1.0, 0.25, 1.0)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # only the p > 8 bound functions need scipy; importing the package does not
-    code = "import sys, extdisc; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+_IMPORT_GUARD = """
+import contextlib, io, sys
+import numpy
+before = set(sys.modules)
+import extdisc
+from extdisc import cli
+extdisc.curse_constants(20.0)
+extdisc.norm_ratio_max(1e6)
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["constants", "--p-min", "9", "--p-max", "50", "--count", "3"])
+    cli.main(["bounds", "--p", "20", "--d-max", "3", "--eps", "0.1"])
+tops = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(tops - {"extdisc", "numpy"} - sys.stdlib_module_names))
+"""
+
+
+def test_package_loads_only_numpy_and_stdlib():
+    # a fresh interpreter, so modules that other tests loaded do not hide an import;
+    # the p > 8 B_p search and the CLI's bounds paths run too
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestCertificate:

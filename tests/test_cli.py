@@ -243,6 +243,19 @@ def test_overflow_exit_code(tmp_path, rows, argv):
     assert f"p = {argv[-1]}" in err
 
 
+@pytest.mark.parametrize("p", [64, 512, 1028])
+@pytest.mark.parametrize("command", [("disc", "--method", "even-exact"), ("duality-check",)])
+def test_even_p_value_over_bound_exit_code(tmp_path, command, p):
+    # the cancelled cell sum once printed up to 1.90151 here, over the bound 2^(-1/p)
+    f = tmp_path / "rule.csv"
+    f.write_text("0.5\n0.25\n")
+    sampled = ("--samples", "1000", "--seed", "1")
+    code, out, err = run_cli(*command, "--p", p, "--input", f, *sampled)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: even-p value ") and err.count("\n") == 1
+    assert "exceeds the bound" in err and f"at p = {p}" in err
+
+
 class TestConstants:
     def test_table_layout(self):
         code, out, _ = run_cli("constants", "--p-min", "1.5", "--p-max", "4", "--count", "6")
@@ -328,7 +341,7 @@ class TestBounds:
             (["bounds", "--p", "1e200", "--d-max", "2", "--eps", "0.1"], "1e+200,2,0.1,0.8,,"),
             (
                 ["constants", "--p-min", "1e200", "--p-max", "1e200", "--count", "1"],
-                "1e+200,0.5,1.0,1.0,1.0035102398431338e-08,numeric",
+                "1e+200,0.5,1.0,1.0,1e-08,numeric",
             ),
         ],
     )
@@ -337,6 +350,13 @@ class TestBounds:
         code, out, err = run_cli(*argv)
         assert (code, err) == (0, "")
         assert out.strip().split("\n")[-1] == last_row
+
+    @pytest.mark.parametrize("d_min, d_max", [("0", "2"), ("3", "2")])
+    def test_bad_dimension_range(self, d_min, d_max):
+        argv = ("--p", "2", "--d-min", d_min, "--d-max", d_max, "--eps", "0.1")
+        code, out, err = run_cli("bounds", *argv)
+        assert (code, out) == (2, "")
+        assert "error: need 1 <= d-min <= d-max" in err
 
     def test_q_equivalent(self):
         a = run_cli("bounds", "--p", "3", "--d-max", "2", "--eps", "0.1")

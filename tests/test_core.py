@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -472,6 +473,25 @@ class TestSampler:
     def test_substream_accepts_numpy_integer_seed(self):
         assert np.array_equal(substream(np.int64(5), 1).random(4), substream(5, 1).random(4))
 
+    @pytest.mark.parametrize("index", [2.5, math.nan, "1"])
+    def test_substream_rejects_non_integer_index(self, index):
+        # 2.5 once drew the stream of index 2, and NaN raised a raw ValueError
+        with pytest.raises(InvalidInputError, match="substream index must be an integer"):
+            substream(1, index)
+
+    @pytest.mark.parametrize(
+        "m, d, message",
+        [
+            (3, 0, "d must be an integer >= 1, got 0"),  # once two (3, 0) arrays
+            (2.5, 2, "m must be an integer >= 0, got 2.5"),
+            (-1, 2, "m must be an integer >= 0, got -1"),
+            (2, 1.0, "d must be an integer >= 1, got 1.0"),
+        ],
+    )
+    def test_sample_box_pairs_rejects_bad_counts(self, m, d, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            sample_box_pairs(substream(1, 0), m, d)
+
 
 class TestValidation:
     def test_points_outside_unit_cube(self):
@@ -840,6 +860,8 @@ def _header_only_weight(tmp):
         (lambda tmp: WeightSet([0.5, np.nan], WeightKind.GENERAL), InvalidInputError, "finite"),
         (lambda tmp: WeightSet([0.5, np.inf], WeightKind.GENERAL), InvalidInputError, "finite"),
         (lambda tmp: equal_weights(0), InvalidInputError, "equal weights need n >= 1"),
+        # 2.5 once raised a raw TypeError from np.full
+        (lambda tmp: equal_weights(2.5), InvalidInputError, "n must be an integer, got 2.5"),
         (lambda tmp: BoxPair([0.1], [0.2, 0.3]), InvalidInputError, "1-d arrays of equal length"),
         (lambda tmp: BoxPair([], []), InvalidInputError, "box dimension must be at least 1"),
         (

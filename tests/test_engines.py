@@ -806,6 +806,14 @@ class TestOverflow:
         ps, ws = PointSet([[0.5]]), WeightSet(np.array([3.0]), WeightKind.NONNEG)
         assert 2.0 < extreme_lp_exact_even_p(ps, ws, 100).value < 3.0
 
+    @pytest.mark.parametrize("p", [64, 512, 1028])
+    def test_even_p_value_over_every_rules_bound_raises(self, p):
+        # the cancelled cell sum printed 0.99158, 1.81588 and 1.90151 here, against
+        # exact values 0.65223, 0.73111 and 0.73953 and a bound 2^(-1/p) (S = 1)
+        ps, ws = PointSet([[0.5], [0.25]]), equal_weights(2)
+        with pytest.raises(InternalConsistencyError, match=f"exceeds the bound .* at p = {p}$"):
+            extreme_lp_exact_even_p(ps, ws, p)
+
     @pytest.mark.parametrize("p", [321.0, 350.0, 700.0])
     def test_sampled_overflow_raises(self, p):
         # at p = 321 the squares still sum to a finite value, but the square
