@@ -209,7 +209,9 @@ class DiscrepancyResult:
 
     stderr/samples/seed are present exactly for the randomized methods.  For
     LINF_SAMPLED the value is a hard lower bound of the sup norm, so stderr
-    is reported as 0.0.
+    is reported as 0.0.  error_bound is the even-p engine's bound on the
+    relative error of value^p, and None for every other engine; it is not
+    printed.
     """
 
     value: float
@@ -218,6 +220,7 @@ class DiscrepancyResult:
     stderr: float | None = None
     samples: int | None = None
     seed: int | None = None
+    error_bound: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.value >= 0.0):

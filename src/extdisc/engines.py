@@ -16,13 +16,17 @@ audit share one statistic, the sampled integral of |delta|^p
 (`_lp_moment`).  A finite rule misses boxes of positive volume, so a
 total that is not positive is an error, never 0; so is a sum past the
 float maximum, and an even-p value above S 2^(-d/p), a bound that every
-rule with S = max(sum w+, 1 + sum |w-|) meets.
+rule with S = max(sum w+, 1 + sum |w-|) meets.  The even-p cell sum
+cancels as p grows; in the same pass it sums the sizes of its parts, and
+it raises when eps times that sum over the total, its relative error
+bound (`DiscrepancyResult.error_bound`), passes `_CANCEL_TOL` = 1e-6.
 
 The grid engines never build a point-by-box membership matrix: every
 weighted count is a difference of one cumulative weighted histogram over
 the breakpoint grid (`CellDecomposition.prefix_weights`), differenced over
 axes 1.. once (`_difference_rest`).  The even-p engine then differences
-axis 0 in slabs of about `_SLAB` counts.  The sup-norm engine scans axis 0
+axis 0 in slabs of about `_SLAB` counts and raises each slab of counts to
+the powers 1 .. p by running products.  The sup-norm engine scans axis 0
 of slabs of about `_SLAB` table entries with a running minimum, O(grid
 lines) per column instead of O(grid pairs), and re-evaluates the few
 boxes within a rounding bound of the best directly, so its result is the
@@ -65,6 +69,9 @@ DEFAULT_BOX_BUDGET = 10**8
 
 # output entries per slab of the exact engines' counts and L2 kernel
 _SLAB = 1 << 16
+
+# the even-p engine raises past this relative error bound on its p-th power total
+_CANCEL_TOL = 1e-6
 
 
 # method -> (accepted p, test, p implied when none is given), for the engines, dual and CLI
@@ -252,12 +259,53 @@ def extreme_lp_exact_even_p(
 
 
 def _even_p_cells(cd, ws: WeightSet, p: int, cell_budget: int) -> DiscrepancyResult:
-    """`extreme_lp_exact_even_p` on the decomposition cd of the checked points."""
+    """`extreme_lp_exact_even_p` on the decomposition cd of the checked points.
+
+    Past the checks on the total, the result carries error_bound, eps times
+    the sum of the parts' sizes over the total (`_even_p_sum`): each part
+    is rounded relative to its own size and fsum adds the parts exactly, so
+    where they cancel, the total keeps about -log10(error_bound) digits.
+    Over `_CANCEL_TOL` this raises instead of returning a value.
+    """
     if p + 1 > cell_budget:  # the work is at least p + 1 binomial terms
         raise BudgetExceededError(
             f"p = {p} needs {p + 1} terms per cell, over budget {cell_budget}; use extreme_lp_mc"
         )
     cd._check_budget(1, cell_budget, "cells", "extreme_lp_mc")
+    total, size = _even_p_sum(cd, ws, p)
+    if not total > 0.0:
+        raise InternalConsistencyError(f"p-th power total {total} is not positive")
+    # every box has |delta| <= S = max(sum w+, sum |w-| + 1) on an anchor domain
+    # of measure 2^-d, so no rule exceeds S 2^(-d/p); a cell sum whose terms
+    # cancelled can (ROADMAP item 2)
+    w = ws.values
+    bound = float(max(w[w > 0].sum(), 1.0 - w[w < 0].sum())) * 2.0 ** (-len(cd.gammas) / p)
+    value = total ** (1.0 / p)
+    if value > bound * (1.0 + 1e-12):
+        raise InternalConsistencyError(
+            f"even-p value {value!r} exceeds the bound {bound!r} of every rule at p = {p}"
+        )
+    error_bound = sys.float_info.epsilon * size / total
+    if not error_bound <= _CANCEL_TOL:  # also when the sizes overflowed to inf or NaN
+        raise InternalConsistencyError(
+            f"even-p cell sum cancelled: relative error bound {error_bound:.2g} of the "
+            f"p-th power total exceeds {_CANCEL_TOL:g} at p = {p}"
+        )
+    return DiscrepancyResult(value, float(p), Method.EVEN_P_EXACT, error_bound=error_bound)
+
+
+def _even_p_sum(cd, ws: WeightSet, p: int) -> tuple[float, float]:
+    """The p-th power total of the even-p cell sum, and the sum of its parts' sizes.
+
+    The total has one part per (binomial term i, axis-0 pair q):
+    (-1)^i C(p, i) times q's axis-0 moment of order i times the sum over
+    the columns of counts^(p - i) rest[i].  A part's size is the same
+    product with every factor in absolute value.  The moments and rest are
+    >= 0, so the parts of one term share a sign and their sizes sum to
+    |sum of the parts|, except at an odd power of a negative count: where
+    the table has one, the odd terms also sum |counts^(p - i)| rest[i].
+    The powers are running products, one multiply per term.
+    """
     overflow = f"the terms of the even-p cell sum overflow binary64 at p = {p}"
     # the largest binomial coefficient passes the float maximum from p = 1030 on;
     # it is at least 2^(p/2), so past 2 max_exp it is not built to see that
@@ -270,46 +318,50 @@ def _even_p_cells(cd, ws: WeightSet, p: int, cell_budget: int) -> DiscrepancyRes
         np.ravel(reduce(np.multiply.outer, [m[i] for m in moments[1:]], 1.0))
         for i in range(p + 1)
     ]
-    coeffs = [math.comb(p, i) * (-1) ** i for i in range(p + 1)]
+    # scale[i, q] = (-1)^i C(p, i) times pair q's axis-0 moment of order i
+    scale = moments[0]
+    scale *= np.array([math.comb(p, i) * (-1) ** i for i in range(p + 1)], dtype=float)[:, None]
+    parts = np.empty_like(scale)
     # the i = p term has counts^0 = 1, so its row sums are all one constant
-    rest_total = np.sum(rest[p])
+    parts[p] = scale[p] * np.sum(rest[p])
     # the counts: the table differenced over axes 1.., then per slab of
     # about _SLAB counts one gather and one subtract over axis 0
     table = _difference_rest(cd.prefix_weights(ws.values), [(s + 1, t + 1) for s, t in pairs[1:]])
     lo, hi = pairs[0][0] + 1, pairs[0][1] + 1
     step = max(1, _SLAB // table.shape[1])
-    # one part per (axis-0 pair, binomial term); the terms alternate in
-    # sign and cancel, so they are summed exactly by fsum
-    parts: list[np.ndarray] = []
+    # a column that never decreases down axis 0 gives counts >= 0 for lo <= hi
+    signed = bool((table[1:] < table[:-1]).any())
+    odd_sizes = np.zeros(p + 1)
     # a count power or product past the float maximum becomes inf or NaN,
     # and the check below turns it into one error
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lo), step):
             rows = slice(start, start + step)
-            counts = table[hi[rows]] - table[lo[rows]]
-            for i in range(p + 1):
-                if i == p:
-                    sums = rest_total
-                else:
-                    power = counts if i == p - 1 else counts ** (p - i)
-                    sums = np.sum(power * rest[i], axis=1)
-                parts.append(coeffs[i] * moments[0][i][rows] * sums)
-    if not all(np.isfinite(part).all() for part in parts):
+            counts = table[hi[rows]]
+            counts -= table[lo[rows]]
+            power = counts
+            for i in range(p - 1, -1, -1):  # power = counts^(p - i)
+                if i == p - 2:
+                    power = np.square(counts)
+                elif i < p - 2:
+                    power *= counts
+                # no temporary outlives its line: a fourth slab-sized array
+                # alive made the p = 2 loop 20% slower
+                np.multiply(scale[i, rows], np.sum(power * rest[i], axis=1), out=parts[i, rows])
+                if signed and i % 2:
+                    odd_sizes[i] += scale[i, rows] @ np.sum(np.abs(power) * rest[i], axis=1)
+        sizes = np.sum(parts, axis=1)
+        if signed:
+            sizes[1::2] = odd_sizes[1::2]
+        size = float(np.sum(np.abs(sizes)))
+    if not np.isfinite(parts).all():
         raise InvalidInputError(overflow)
-    total = math.fsum(chain.from_iterable(parts))
-    if not total > 0.0:
-        raise InternalConsistencyError(f"p-th power total {total} is not positive")
-    # every box has |delta| <= S = max(sum w+, sum |w-| + 1) on an anchor domain
-    # of measure 2^-d, so no rule exceeds S 2^(-d/p); a cell sum whose terms
-    # cancelled can (ROADMAP item 2), and one under the bound can still be wrong
-    w = ws.values
-    bound = float(max(w[w > 0].sum(), 1.0 - w[w < 0].sum())) * 2.0 ** (-len(cd.gammas) / p)
-    value = total ** (1.0 / p)
-    if value > bound * (1.0 + 1e-12):
-        raise InternalConsistencyError(
-            f"even-p value {value!r} exceeds the bound {bound!r} of every rule at p = {p}"
-        )
-    return DiscrepancyResult(value, float(p), Method.EVEN_P_EXACT)
+    # the parts alternate in sign and cancel, so they are summed exactly by
+    # fsum; it reads Python floats faster than numpy scalars, and takes them
+    # 4096 at a time so that they hold little memory
+    flat = parts.ravel()
+    chunks = (flat[k : k + 4096].tolist() for k in range(0, len(flat), 4096))
+    return math.fsum(chain.from_iterable(chunks)), size
 
 
 # ---------------------------------------------------------------------------

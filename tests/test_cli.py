@@ -256,6 +256,19 @@ def test_even_p_value_over_bound_exit_code(tmp_path, command, p):
     assert "exceeds the bound" in err and f"at p = {p}" in err
 
 
+@pytest.mark.parametrize("command", [("disc", "--method", "even-exact"), ("duality-check",)])
+def test_cancelled_even_p_sum_exit_code(tmp_path, command):
+    # the cell sum's error bound is 5.5 here; both commands once took its
+    # root, 0.0368, for the norm
+    f = tmp_path / "vdc32x2.csv"
+    assert run_cli("generate", "--kind", "vdc", "--n", "32", "--d", "2", "--out", f)[0] == 0
+    sampled = ("--samples", "1000", "--seed", "1")
+    code, out, err = run_cli(*command, "--p", "12", "--input", f, *sampled)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: even-p cell sum cancelled") and err.count("\n") == 1
+    assert "relative error bound" in err and "at p = 12" in err
+
+
 class TestConstants:
     def test_table_layout(self):
         code, out, _ = run_cli("constants", "--p-min", "1.5", "--p-max", "4", "--count", "6")
