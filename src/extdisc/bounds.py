@@ -19,6 +19,7 @@ number of points needed to beat the empty rule to grow like C_p^d.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,12 +72,16 @@ def _norm_ratio_at_half(p: float) -> float:
     return float(worst_case_1d(p, 0.5)) * 4.0 ** (1.0 / p)
 
 
+@functools.cache
 def _scan_grid() -> np.ndarray:
     # half the budget spaced evenly on (0, 1/2], half log-spaced toward 0
-    # to track maximizers that drift to the edge for large p
+    # to track maximizers that drift to the edge for large p; built on first
+    # use and shared by every p, so read-only
     lin = np.linspace(0.5 / (_SCAN_POINTS // 2), 0.5, _SCAN_POINTS // 2)
     logp = np.geomspace(1e-8, 0.5, _SCAN_POINTS - _SCAN_POINTS // 2)
-    return np.unique(np.concatenate((lin, logp)))
+    grid = np.unique(np.concatenate((lin, logp)))
+    grid.flags.writeable = False
+    return grid
 
 
 def _norm_ratio_max_numeric(p: float) -> tuple[float, float]:

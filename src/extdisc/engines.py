@@ -29,8 +29,11 @@ axis 0 in slabs of about `_SLAB` counts and raises each slab of counts to
 the powers 1 .. p by running products.  The sup-norm engine scans axis 0
 of slabs of about `_SLAB` table entries with a running minimum, O(grid
 lines) per column instead of O(grid pairs), and re-evaluates the few
-boxes within a rounding bound of the best directly, so its result is the
-same float as a direct maximum over all grid boxes.  The L2 engine
+boxes within a rounding bound of the best directly.  It skips the columns
+whose bound, their positive weight C+ or their side product plus their
+negative weight C-, is below the best box found by more than a rounding
+margin.  So its result is the same float as a direct maximum over all
+grid boxes.  The L2 engine
 evaluates the n(n+1)/2 entries of its symmetric pair kernel on and above
 the diagonal, in row blocks of about `_SLAB` entries.
 """
@@ -303,7 +306,8 @@ def _even_p_sum(cd, ws: WeightSet, p: int) -> tuple[float, float]:
     product with every factor in absolute value.  The moments and rest are
     >= 0, so the parts of one term share a sign and their sizes sum to
     |sum of the parts|, except at an odd power of a negative count: where
-    the table has one, the odd terms also sum |counts^(p - i)| rest[i].
+    the rule has a negative weight, the odd terms also sum
+    |counts^(p - i)| rest[i].
     The powers are running products, one multiply per term.
     """
     overflow = f"the terms of the even-p cell sum overflow binary64 at p = {p}"
@@ -329,8 +333,9 @@ def _even_p_sum(cd, ws: WeightSet, p: int) -> tuple[float, float]:
     table = _difference_rest(cd.prefix_weights(ws.values), [(s + 1, t + 1) for s, t in pairs[1:]])
     lo, hi = pairs[0][0] + 1, pairs[0][1] + 1
     step = max(1, _SLAB // table.shape[1])
-    # a column that never decreases down axis 0 gives counts >= 0 for lo <= hi
-    signed = bool((table[1:] < table[:-1]).any())
+    # a rule without negative weights has counts >= 0 but for rounding residues
+    # (-1e-16 in every slab of vdc12x3), whose powers eps * sum of sizes covers
+    signed = bool((ws.values < 0).any())
     odd_sizes = np.zeros(p + 1)
     # a count power or product past the float maximum becomes inf or NaN,
     # and the check below turns it into one error
@@ -379,24 +384,48 @@ def extreme_linf_exact(
     g_u <= x <= g_v (positive side) and open counts g_u < x < g_v
     (negative side: boxes shrink onto a cell closure from inside) is exact
     for any real weights.  Both sides read one table differenced over axes
-    1..; `_linf_side` finds each side's maximum in O(grid lines) per column
-    of it instead of O(grid pairs); `box_budget` caps the grid pairs.
+    1..; `_linf_side` finds the best box of a set of its columns in
+    O(grid lines) per column instead of O(grid pairs).  No box of column c
+    beats C+_c, its positive weight, on the closed side, or R_c + C-_c,
+    its open side product plus its negative weight, on the open side, so
+    each side scans first the highest-bound column of each _SLAB of them,
+    then only the columns whose bound can still beat the best box found;
+    `box_budget` caps the grid pairs.
     """
     _check_pair(ps, ws)
     _check_count("box_budget", box_budget, 1)
     cd = CellDecomposition.from_points(ps)
     cd._check_budget(0, box_budget, "boxes", "extreme_linf_lower_mc")
-    prefix = cd.prefix_weights(ws.values)
-    # each entry of the table is a +- sum of 2^(d-1) prefix entries, so
-    # |T| <= big, and |g R| <= 1; the two roundings of a box value differ by
-    # at most (8 big + 9) eps, and tau leaves a factor 2 for the rest
-    big = 2.0 ** (prefix.ndim - 1) * max(float(prefix.max()), -float(prefix.min()))
-    tau = 16.0 * np.finfo(np.float64).eps * (big + 1.0)
+    w = ws.values
+    prefix = cd.prefix_weights(w)
     # column c of the table holds the points in closed range combination c
     # of axes 1.. (grid pairs u <= v, lexicographic); where 0 < u and
     # v < B - 1 on every axis, the open ranges (u - 1, v + 1) hold the same
     pairs = [np.triu_indices(len(g)) for g in cd.gammas[1:]]
-    t = _difference_rest(prefix, [(u, v + 1) for u, v in pairs])
+    ranges = [(u, v + 1) for u, v in pairs]
+    t = _difference_rest(prefix, ranges)
+    # row -1 of t covers all of axis 0, so t[-1, c] = C+_c - C-_c, with C-_c
+    # the column's negative weight, one row of the same table for -w+
+    neg = np.maximum(-w, 0.0)
+    cneg = _difference_rest(cd.prefix_weights(neg)[-1:], ranges)[0] if neg.any() else None
+    d, eps = prefix.ndim, np.finfo(np.float64).eps
+    # each entry of the table is a +- sum of 2^(d-1) prefix entries, so
+    # |T| <= big, and |g R| <= 1; the two roundings of a box value differ by
+    # at most (8 big + 9) eps, and tau leaves a factor 2 for the rest
+    big = 2.0 ** (d - 1) * max(float(prefix.max()), -float(prefix.min()))
+    tau = 16.0 * eps * (big + 1.0)
+    # the column bounds hold for the exact tables T and C-.  A computed entry
+    # of either passes each weight through at most n + sum(grid lines) + d - 2
+    # roundings, in 2^(d-1) prefix entries, so it is within
+    # err = K eps 2^(d-1) sum |w| of the exact one; K = n + sum(grid lines) + 2d
+    # leaves room for the rounding of the bound's own sum.  A box's computed
+    # value is within tau of sign ((U - L) - (hi - lo) R) on the computed
+    # table, which is at most U - L (closed) or R + L - U (open, hi - lo <= 1);
+    # U - L is within 2 err of the exact count, and T[-1] and C- within err
+    # each of theirs.  So a column whose computed bound is below
+    # best - (2 tau + 4 err) holds no box whose computed value reaches best.
+    K = len(w) + sum(len(g) for g in cd.gammas) + 2 * d
+    margin = 2.0 * tau + 4.0 * K * eps * 2.0 ** (d - 1) * float(np.abs(w).sum())
     inner = [(0 < u) & (v < len(g) - 1) for g, (u, v) in zip(cd.gammas[1:], pairs)]
     closed = [g[v] - g[u] for g, (u, v) in zip(cd.gammas[1:], pairs)]
     opened = [g[v[k] + 1] - g[u[k] - 1] for g, (u, v), k in zip(cd.gammas[1:], pairs, inner)]
@@ -405,42 +434,74 @@ def extreme_linf_exact(
     # such box is the widest gap of an axis >= 1 times 1 on the others
     best = max((float(np.diff(g).max()) for g in cd.gammas[1:]), default=0.0)
     g = cd.gammas[0]
-    for sign, cols, sides, low, high in (
-        (1.0, np.arange(t.shape[1]), closed, (t[:-1], g), (t[1:], g)),
-        (-1.0, open_cols, opened, (t[1:-1], g[:-1]), (t[1:-1], g[1:])),
+    for side, lengths, cols in (
+        ((1.0, slice(None, -1), slice(None), slice(1, None), slice(None)), closed, None),
+        ((-1.0, slice(1, -1), slice(None, -1), slice(1, -1), slice(1, None)), opened, open_cols),
     ):
-        rest_side = np.ravel(reduce(np.multiply.outer, sides, 1.0))
-        best = max(best, _linf_side(low, high, cols, rest_side, sign, tau))
+        rest = np.ravel(reduce(np.multiply.outer, lengths, 1.0))
+        # the side's k-th column is k on the closed side, open_cols[k] on the
+        # open one; its bound is C+ = t[-1] + C- (closed) or R + C- (open)
+        pick = (lambda k: k) if cols is None else cols.__getitem__
+        head = t[-1] if cols is None else rest
+
+        def bound(k):
+            return head[k] if cneg is None else head[k] + cneg[pick(k)]
+
+        # pass 1 scans the highest-bound column of each _SLAB, and pass 2
+        # the other columns whose bound can still beat the best box
+        starts = range(0, len(rest), _SLAB)
+        first = np.array([s + np.argmax(bound(slice(s, s + _SLAB))) for s in starts], np.intp)
+        best = _linf_side(t, g, side, pick(first), rest[first], tau, best)
+        for s, f in zip(starts, first):
+            keep = np.flatnonzero(bound(slice(s, s + _SLAB)) >= best - margin) + s
+            keep = keep[keep != f]
+            best = _linf_side(t, g, side, pick(keep), rest[keep], tau, best)
     return DiscrepancyResult(best, math.inf, Method.LINF_EXACT)
 
 
-def _linf_side(low, high, cols, rest_side, sign: float, tau: float) -> float:
-    """Largest sign * ((U[j] - L[i]) - (hi[j] - lo[i]) R) over rows i <= j.
+def _linf_side(t, g, side, cols, rest_side, tau: float, best: float) -> float:
+    """The larger of best and the best box of table t's columns cols on one side.
 
-    low = (L, lo) and high = (U, hi) pair rows of the differenced table
-    with their axis-0 grid lines; the columns are cols, R = rest_side[k]
-    the side product of column cols[k].  The value splits as A[j] - B[i]
-    with A = sign (U - hi R), B = sign (L - lo R), and a running minimum of
-    B gives M[j] = max over i of A[j] - B[i] in O(grid lines) per column.
-    M is rounded differently from the direct value, but within tau of it,
-    so the argmax box is among the (j, k) with M >= (largest M so far) -
-    2 tau; `_recheck_linf` evaluates those directly over every i, which
-    makes the result the same float as the largest direct value.
+    side = (sign, lrows, lgrid, urows, ugrid) slices rows L = t[lrows] and
+    U = t[urows] of the table and their axis-0 grid lines lo = g[lgrid] and
+    hi = g[ugrid]; R = rest_side[k] is the side product of column cols[k].
+    A box (i <= j, k) has value
+    sign ((U[j] - L[i]) - (hi[j] - lo[i]) R) = A[j] - B[i], with
+    A = sign (U - hi R) and B = sign (L - lo R), and a running minimum of
+    B gives M[j] = max over i of A[j] - B[i] in O(grid lines) per column;
+    each slab of columns is gathered once, and the sign is folded into the
+    subtraction (fl(x - y) = -fl(y - x)).  M is rounded differently from
+    the direct value, but within tau of it, so a box beating best is among
+    the (j, k) with M >= max(best, largest M so far) - 2 tau;
+    `_recheck_linf` evaluates those directly over every i, which makes the
+    result the same float as the largest direct value.
     """
-    (lower, lo), (upper, hi) = low, high
-    top = best = -math.inf
-    step = max(1, _SLAB // len(lo))
+    sign, lrows, lgrid, urows, ugrid = side
+    low, high = (t[lrows], g[lgrid]), (t[urows], g[ugrid])
+    top = best
+    step = max(1, _SLAB // len(t))
+    # three buffers serve every slab: fresh slab arrays each time raised the
+    # peak RSS of vdc100x2 then vdc20x3 by 1.3 MB
+    bufs = [np.empty(len(t) * min(step, len(cols))) for _ in range(3)]
     for start in range(0, len(cols), step):
         c, r = cols[start : start + step], rest_side[start : start + step]
-        b = np.take(lower, c, axis=1)
-        b -= np.multiply.outer(lo, r)
-        b *= sign
-        m = np.take(upper, c, axis=1)
-        m -= np.multiply.outer(hi, r)
-        m *= sign
-        # a row loop: np.minimum.accumulate(axis=0) is about 10x slower
-        for i in range(1, len(b)):
-            np.minimum(b[i - 1], b[i], out=b[i])
+        s, gr, b = (buf[: len(t) * len(c)].reshape(len(t), len(c)) for buf in bufs)
+        # one gather (mode="clip" lets it write to s unbuffered; every column
+        # is in range) and one product per slab; B, then A in place of U's
+        # rows of the gathered slab, which B has read
+        np.take(t, c, axis=1, out=s, mode="clip")
+        gr = np.multiply.outer(g, r, out=gr[:-1])
+        b, m = b[lrows], s[urows]
+        if sign > 0.0:
+            np.subtract(s[lrows], gr[lgrid], out=b)
+            m -= gr[ugrid]
+        else:
+            np.subtract(gr[lgrid], s[lrows], out=b)
+            np.subtract(gr[ugrid], m, out=m)
+        # a row loop: np.minimum.accumulate(axis=0) is about 3x slower
+        rows = list(b)
+        for prev, row in zip(rows, rows[1:]):
+            np.minimum(prev, row, out=row)
         m -= b
         peak = float(m.max())
         top = max(top, peak)

@@ -25,7 +25,7 @@ from extdisc import (
     nw10_l2_lower,
     spline_norm,
 )
-from extdisc.bounds import _norm_ratio_max_numeric
+from extdisc.bounds import _norm_ratio_max_numeric, _scan_grid
 from extdisc.generators import GeneratorKind, GeneratorSpec, generate
 
 from dual_checks import (
@@ -74,6 +74,12 @@ class TestNormRatio:
         # off-center maximum strictly beats the center value
         for p, b in [(11.0, b11), (20.0, b20), (50.0, b50)]:
             assert b > float(spline_norm(p, 0.5)) + 1e-4
+
+    def test_scan_grid_is_built_once_and_read_only(self):
+        # every p > 8 shares one grid; a caller writing to it would change the others
+        grid = _scan_grid()
+        assert grid is _scan_grid()
+        assert not grid.flags.writeable
 
     def test_ratio_identity_when_centered(self):
         # with y* = 1/2, B_p/A_p collapses to 2 (4/((p+1)(p+2)))^(1/p)
