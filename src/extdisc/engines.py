@@ -15,7 +15,8 @@ included, runs on one chunked core, `_sample`; the L_p sampler and the
 audit share one statistic, the sampled integral of |delta|^p
 (`_lp_moment`).  A finite rule misses boxes of positive volume, so a
 total that is not positive is an error, never 0; so is a sum past the
-float maximum, and an even-p value above S 2^(-d/p), a bound that every
+float maximum (for the L2 and sup-norm engines, one that sum |w| does not
+rule out), and an even-p value above S 2^(-d/p), a bound that every
 rule with S = max(sum w+, 1 + sum |w-|) meets.  The even-p cell sum
 cancels as p grows; in the same pass it sums the sizes of its parts, and
 it raises when eps times that sum over the total, its relative error
@@ -23,11 +24,13 @@ bound (`DiscrepancyResult.error_bound`), passes `_CANCEL_TOL` = 1e-6.
 
 The grid engines never build a point-by-box membership matrix: every
 weighted count is a difference of one cumulative weighted histogram over
-the breakpoint grid (`CellDecomposition.prefix_weights`), differenced over
-axes 1.. once (`_difference_rest`).  The even-p engine then differences
-axis 0 in slabs of about `_SLAB` counts and raises each slab of counts to
-the powers 1 .. p by running products.  The sup-norm engine scans axis 0
-of slabs of about `_SLAB` table entries with a running minimum, O(grid
+the breakpoint grid (`CellDecomposition.prefix_weights`) over axes 1..
+(`_difference_rest`).  The even-p engine differences axes 1.. once, then
+axis 0 in slabs of about `_SLAB` counts, and raises each slab of counts to
+the powers 1 .. p by running products.  The sup-norm engine differences
+axes 1 .. d-2 once and the last axis per slab of about `_SLAB` table
+entries, for the columns it scans only, with the same bits as the whole
+table.  It scans axis 0 of each slab with a running minimum, O(grid
 lines) per column instead of O(grid pairs), and re-evaluates the few
 boxes within a rounding bound of the best directly.  It skips the columns
 whose bound, their positive weight C+ or their side product plus their
@@ -135,14 +138,23 @@ class CellDecomposition:
         """Whether the pair count for `drop` (as in `_pair_counts`) fits budget."""
         return math.prod(self._pair_counts(drop)) <= budget
 
-    def _check_budget(self, drop: int, budget: int, noun: str, fallback: str) -> None:
-        """Raise unless `_fits(drop, budget)`."""
+    def _check_budget(
+        self, drop: int, budget: int, noun: str, fallback: str, head: bool = False
+    ) -> None:
+        """Raise unless `_fits(drop, budget)`, naming the bytes of the table built.
+
+        That table is the prefix differenced over axes 1.. (`_difference_rest`),
+        or with head, over axes 1 .. d-2 only (`extreme_linf_exact`'s head).
+        """
         if not self._fits(drop, budget):
             counts = self._pair_counts(drop)
-            nbytes = 8 * (len(self.gammas[0]) + 1) * math.prod(counts[1:])
+            cut = max(1, len(counts) - 1) if head else len(counts)
+            lengths = [len(g) + 1 for g in self.gammas]
+            nbytes = 8 * lengths[0] * math.prod(counts[1:cut]) * math.prod(lengths[cut:])
+            table = "table head" if head else "differenced table"
             raise BudgetExceededError(
                 f"{math.prod(counts)} {noun} exceed budget {budget} (a {nbytes}-byte "
-                f"differenced table); use {fallback} instead"
+                f"{table}); use {fallback} instead"
             )
 
     def prefix_weights(self, weights: np.ndarray) -> np.ndarray:
@@ -160,6 +172,12 @@ class CellDecomposition:
         return table
 
 
+def _abs_sum(w: np.ndarray) -> float:
+    """sum |w|, inf where it passes the float maximum."""
+    with np.errstate(over="ignore"):
+        return float(np.abs(w).sum())
+
+
 def _difference_rest(prefix: np.ndarray, rest_bounds: list[tuple[np.ndarray, np.ndarray]]):
     """The prefix table differenced over axes 1.., flattened to 2-D.
 
@@ -167,7 +185,9 @@ def _difference_rest(prefix: np.ndarray, rest_bounds: list[tuple[np.ndarray, np.
     holds the points with lo[i] <= pos[j] < hi[i] (lo <= hi).  Entry
     [r, c] of the result is the weight of the points with pos[0] < r that
     lie in range combination c of axes 1.., numbered in C order; with
-    d = 1 there is one combination.
+    d = 1 there is one combination.  Axes past the last of rest_bounds
+    stay undifferenced, their prefix index numbered in C order after the
+    range combination.
     """
     table = prefix
     for axis, (lo, hi) in enumerate(rest_bounds, start=1):
@@ -195,6 +215,14 @@ def extreme_l2_exact(ps: PointSet, ws: WeightSet) -> DiscrepancyResult:
     _check_pair(ps, ws)
     n, d = ps.n, ps.d
     w, cols = ws.values, np.ascontiguousarray(ps.coords.T)
+    # the kernel entries are in [0, 1/4] and the g products in [0, 1/8], so
+    # for S = sum |w|, |kw| <= S / 4, the pair term is at most S^2 / 2 and the
+    # cross term S / 8 in size: below S^2 <= max no sum overflows
+    total = _abs_sum(w)
+    if not total * total <= sys.float_info.max:
+        raise InvalidInputError(
+            f"the L2 kernel sum can overflow binary64 at d = {d}: sum |w| = {total:g}"
+        )
     kw = np.empty(n)
     step = max(1, _SLAB // max(n, 1))
     # the kernel is symmetric, so row block [start, stop) meets only the
@@ -383,35 +411,50 @@ def extreme_linf_exact(
     taking every ordered grid pair (u, v) with closed counts
     g_u <= x <= g_v (positive side) and open counts g_u < x < g_v
     (negative side: boxes shrink onto a cell closure from inside) is exact
-    for any real weights.  Both sides read one table differenced over axes
-    1..; `_linf_side` finds the best box of a set of its columns in
-    O(grid lines) per column instead of O(grid pairs).  No box of column c
-    beats C+_c, its positive weight, on the closed side, or R_c + C-_c,
-    its open side product plus its negative weight, on the open side, so
-    each side scans first the highest-bound column of each _SLAB of them,
-    then only the columns whose bound can still beat the best box found;
-    `box_budget` caps the grid pairs.
+    for any real weights.  Both sides read the columns of one table, the
+    prefix differenced over axes 1..; it is never built whole.  The head,
+    the prefix differenced over axes 1 .. d-2, is built once, and the last
+    axis is differenced per slab for the columns scanned only
+    (`_table_columns`).  `_linf_side` finds the best box of a set of
+    columns in O(grid lines) per column instead of O(grid pairs).  No box
+    of column c beats C+_c, its positive weight, on the closed side, or
+    R_c + C-_c, its open side product plus its negative weight, on the
+    open side, so each side scans first the highest-bound column of each
+    _SLAB of them, then only the columns whose bound can still beat the
+    best box found; `box_budget` caps the grid pairs.
     """
     _check_pair(ps, ws)
     _check_count("box_budget", box_budget, 1)
     cd = CellDecomposition.from_points(ps)
-    cd._check_budget(0, box_budget, "boxes", "extreme_linf_lower_mc")
-    w = ws.values
+    cd._check_budget(0, box_budget, "boxes", "extreme_linf_lower_mc", head=True)
+    w, d = ws.values, ps.d
+    # each entry of the table is a +- sum of 2^(d-1) prefix entries, and a
+    # prefix entry is a sum of weights, so |T| <= scale (1 + n eps) with
+    # scale = 2^(d-1) sum |w|.  A box value subtracts two entries of a column
+    # and a volume <= 1, and a column bound adds two entries, so below
+    # 4 scale <= max every table entry, box value and bound is finite
+    scale = 2.0 ** (d - 1) * _abs_sum(w)
+    if not 4.0 * scale <= sys.float_info.max:
+        raise InvalidInputError(
+            f"the sup-norm table can overflow binary64 at d = {d}: 2^(d-1) sum |w| = {scale:g}"
+        )
     prefix = cd.prefix_weights(w)
     # column c of the table holds the points in closed range combination c
     # of axes 1.. (grid pairs u <= v, lexicographic); where 0 < u and
     # v < B - 1 on every axis, the open ranges (u - 1, v + 1) hold the same
     pairs = [np.triu_indices(len(g)) for g in cd.gammas[1:]]
     ranges = [(u, v + 1) for u, v in pairs]
-    t = _difference_rest(prefix, ranges)
-    # row -1 of t covers all of axis 0, so t[-1, c] = C+_c - C-_c, with C-_c
-    # the column's negative weight, one row of the same table for -w+
+    head = _difference_rest(prefix, ranges[:-1])
+    table = (head, ranges[-1] if d > 1 else None, prefix.shape[-1])
+    # row -1 of the table covers all of axis 0, so T[-1, c] = C+_c - C-_c,
+    # with C-_c the column's negative weight; each is one row differenced
+    # like the table, so it keeps the table's bits
+    tlast = _difference_rest(prefix[-1:], ranges)[0]
     neg = np.maximum(-w, 0.0)
     cneg = _difference_rest(cd.prefix_weights(neg)[-1:], ranges)[0] if neg.any() else None
-    d, eps = prefix.ndim, np.finfo(np.float64).eps
-    # each entry of the table is a +- sum of 2^(d-1) prefix entries, so
-    # |T| <= big, and |g R| <= 1; the two roundings of a box value differ by
-    # at most (8 big + 9) eps, and tau leaves a factor 2 for the rest
+    eps = np.finfo(np.float64).eps
+    # |g R| <= 1, so the two roundings of a box value differ by at most
+    # (8 big + 9) eps, and tau leaves a factor 2 for the rest
     big = 2.0 ** (d - 1) * max(float(prefix.max()), -float(prefix.min()))
     tau = 16.0 * eps * (big + 1.0)
     # the column bounds hold for the exact tables T and C-.  A computed entry
@@ -425,7 +468,7 @@ def extreme_linf_exact(
     # each of theirs.  So a column whose computed bound is below
     # best - (2 tau + 4 err) holds no box whose computed value reaches best.
     K = len(w) + sum(len(g) for g in cd.gammas) + 2 * d
-    margin = 2.0 * tau + 4.0 * K * eps * 2.0 ** (d - 1) * float(np.abs(w).sum())
+    margin = 2.0 * tau + 4.0 * K * eps * scale
     inner = [(0 < u) & (v < len(g) - 1) for g, (u, v) in zip(cd.gammas[1:], pairs)]
     closed = [g[v] - g[u] for g, (u, v) in zip(cd.gammas[1:], pairs)]
     opened = [g[v[k] + 1] - g[u[k] - 1] for g, (u, v), k in zip(cd.gammas[1:], pairs, inner)]
@@ -440,64 +483,89 @@ def extreme_linf_exact(
     ):
         rest = np.ravel(reduce(np.multiply.outer, lengths, 1.0))
         # the side's k-th column is k on the closed side, open_cols[k] on the
-        # open one; its bound is C+ = t[-1] + C- (closed) or R + C- (open)
+        # open one; its bound is C+ = T[-1] + C- (closed) or R + C- (open)
         pick = (lambda k: k) if cols is None else cols.__getitem__
-        head = t[-1] if cols is None else rest
+        lead = tlast if cols is None else rest
 
         def bound(k):
-            return head[k] if cneg is None else head[k] + cneg[pick(k)]
+            return lead[k] if cneg is None else lead[k] + cneg[pick(k)]
 
         # pass 1 scans the highest-bound column of each _SLAB, and pass 2
         # the other columns whose bound can still beat the best box
         starts = range(0, len(rest), _SLAB)
         first = np.array([s + np.argmax(bound(slice(s, s + _SLAB))) for s in starts], np.intp)
-        best = _linf_side(t, g, side, pick(first), rest[first], tau, best)
+        best = _linf_side(table, g, side, pick(first), rest[first], tau, best)
         for s, f in zip(starts, first):
             keep = np.flatnonzero(bound(slice(s, s + _SLAB)) >= best - margin) + s
             keep = keep[keep != f]
-            best = _linf_side(t, g, side, pick(keep), rest[keep], tau, best)
+            best = _linf_side(table, g, side, pick(keep), rest[keep], tau, best)
     return DiscrepancyResult(best, math.inf, Method.LINF_EXACT)
 
 
-def _linf_side(t, g, side, cols, rest_side, tau: float, best: float) -> float:
-    """The larger of best and the best box of table t's columns cols on one side.
+def _table_columns(head, last, width: int, cols, out, spare) -> None:
+    """Write columns cols of the prefix table differenced over axes 1.. to out.
 
-    side = (sign, lrows, lgrid, urows, ugrid) slices rows L = t[lrows] and
-    U = t[urows] of the table and their axis-0 grid lines lo = g[lgrid] and
-    hi = g[ugrid]; R = rest_side[k] is the side product of column cols[k].
-    A box (i <= j, k) has value
+    head is the prefix differenced over axes 1 .. d-2 (`_difference_rest`),
+    last = (lo, hi) the ranges of axis d - 1 (None at d = 1, where the
+    table is the head) and width that axis's prefix length.  Column c is
+    range combination a of the head's axes and range b of the last axis,
+    (a, b) = divmod(c, len(lo)); it is `_difference_rest`'s last step for
+    those columns only, the same subtraction of the same entries, so it
+    has the same bits.  spare is a buffer of out's shape.
+    """
+    # mode="clip" lets take write to out unbuffered; every column is in range
+    if last is None:
+        np.take(head, cols, axis=1, out=out, mode="clip")
+        return
+    lo, hi = last
+    a, b = np.divmod(cols, len(lo))
+    a *= width
+    np.take(head, a + hi[b], axis=1, out=out, mode="clip")
+    np.take(head, a + lo[b], axis=1, out=spare, mode="clip")
+    out -= spare
+
+
+def _linf_side(table, g, side, cols, rest_side, tau: float, best: float) -> float:
+    """The larger of best and the best box of table columns cols on one side.
+
+    table = (head, last, width) builds the table's columns
+    (`_table_columns`), len(g) + 1 rows each.  side = (sign, lrows, lgrid,
+    urows, ugrid) slices rows L = T[lrows] and U = T[urows] of the table
+    and their axis-0 grid lines lo = g[lgrid] and hi = g[ugrid];
+    R = rest_side[k] is the side product of column cols[k].  A box
+    (i <= j, k) has value
     sign ((U[j] - L[i]) - (hi[j] - lo[i]) R) = A[j] - B[i], with
     A = sign (U - hi R) and B = sign (L - lo R), and a running minimum of
     B gives M[j] = max over i of A[j] - B[i] in O(grid lines) per column;
-    each slab of columns is gathered once, and the sign is folded into the
+    each slab of columns is built once, and the sign is folded into the
     subtraction (fl(x - y) = -fl(y - x)).  M is rounded differently from
     the direct value, but within tau of it, so a box beating best is among
     the (j, k) with M >= max(best, largest M so far) - 2 tau;
-    `_recheck_linf` evaluates those directly over every i, which makes the
-    result the same float as the largest direct value.
+    `_recheck_linf` evaluates those directly over every i on the slab,
+    which makes the result the same float as the largest direct value.
     """
     sign, lrows, lgrid, urows, ugrid = side
-    low, high = (t[lrows], g[lgrid]), (t[urows], g[ugrid])
+    lo, hi = g[lgrid], g[ugrid]
     top = best
-    step = max(1, _SLAB // len(t))
-    # three buffers serve every slab: fresh slab arrays each time raised the
+    height = len(g) + 1
+    step = max(1, _SLAB // height)
+    # four buffers serve every slab: fresh slab arrays each time raised the
     # peak RSS of vdc100x2 then vdc20x3 by 1.3 MB
-    bufs = [np.empty(len(t) * min(step, len(cols))) for _ in range(3)]
+    bufs = [np.empty(height * min(step, len(cols))) for _ in range(4)]
     for start in range(0, len(cols), step):
         c, r = cols[start : start + step], rest_side[start : start + step]
-        s, gr, b = (buf[: len(t) * len(c)].reshape(len(t), len(c)) for buf in bufs)
-        # one gather (mode="clip" lets it write to s unbuffered; every column
-        # is in range) and one product per slab; B, then A in place of U's
-        # rows of the gathered slab, which B has read
-        np.take(t, c, axis=1, out=s, mode="clip")
+        s, spare, gr, b = (buf[: height * len(c)].reshape(height, len(c)) for buf in bufs)
+        _table_columns(*table, c, s, spare)
+        # one product per slab; B, then A in spare, whose lo gather s has
+        # read, so the slab stays whole for the recheck
         gr = np.multiply.outer(g, r, out=gr[:-1])
-        b, m = b[lrows], s[urows]
+        b, m = b[lrows], spare[urows]
         if sign > 0.0:
             np.subtract(s[lrows], gr[lgrid], out=b)
-            m -= gr[ugrid]
+            np.subtract(s[urows], gr[ugrid], out=m)
         else:
             np.subtract(gr[lgrid], s[lrows], out=b)
-            np.subtract(gr[ugrid], m, out=m)
+            np.subtract(gr[ugrid], s[urows], out=m)
         # a row loop: np.minimum.accumulate(axis=0) is about 3x slower
         rows = list(b)
         for prev, row in zip(rows, rows[1:]):
@@ -507,15 +575,17 @@ def _linf_side(t, g, side, cols, rest_side, tau: float, best: float) -> float:
         top = max(top, peak)
         if peak >= top - 2.0 * tau:
             j, k = np.nonzero(m >= top - 2.0 * tau)
-            best = max(best, _recheck_linf(low, high, cols, rest_side, sign, j, k + start))
+            best = max(best, _recheck_linf((s[lrows], lo), (s[urows], hi), r, sign, j, k))
     return best
 
 
-def _recheck_linf(low, high, cols, rest_side, sign: float, j, k) -> float:
-    """Largest direct value over i <= j[q] of the boxes (i, j[q], column cols[k[q]]).
+def _recheck_linf(low, high, rest_side, sign: float, j, k) -> float:
+    """Largest direct value over i <= j[q] of the boxes (i, j[q], column k[q]).
 
-    The direct value is the one `_linf_side` maximises; the candidates are
-    evaluated in pieces of about _SLAB boxes.
+    low = (L, lo) and high = (U, hi) are a slab's rows and grid lines as in
+    `_linf_side`, and rest_side its columns' side products.  The direct
+    value is the one `_linf_side` maximises; the candidates are evaluated
+    in pieces of about _SLAB boxes.
     """
     (lower, lo), (upper, hi) = low, high
     best = -math.inf
@@ -523,7 +593,7 @@ def _recheck_linf(low, high, cols, rest_side, sign: float, j, k) -> float:
     step = max(1, _SLAB // len(lo))
     for start in range(0, len(j), step):
         jj, kk = j[start : start + step, None], k[start : start + step, None]
-        counts = upper[jj, cols[kk]] - lower[i, cols[kk]]
+        counts = upper[jj, kk] - lower[i, kk]
         vals = sign * (counts - (hi[jj] - lo[i]) * rest_side[kk])
         best = max(best, float(np.max(vals, where=i <= jj, initial=-math.inf)))
     return best

@@ -243,6 +243,25 @@ def test_overflow_exit_code(tmp_path, rows, argv):
     assert f"p = {argv[-1]}" in err
 
 
+@pytest.mark.parametrize("method", ["linf-exact", "l2-exact"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "x1,weight\n0.5,1.7e308\n0.25,1.7e308\n0.75,1e-300\n",
+        "x1,x2,weight\n0.5,0.5,1e308\n0.25,0.75,1e308\n0.75,0.25,-1e308\n",
+    ],
+    ids=["d1", "d2"],
+)
+def test_exact_weight_overflow_exit_code(tmp_path, rows, method):
+    # weights whose absolute sum passes the float maximum once printed the
+    # sup norm as 0.0 or 1e+308 and L2 as Infinity, with exit 0
+    f = tmp_path / "rule.csv"
+    f.write_text(rows)
+    code, out, err = run_cli("disc", "--input", f, "--method", method)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
+
+
 @pytest.mark.parametrize("p", [64, 512, 1028])
 @pytest.mark.parametrize("command", [("disc", "--method", "even-exact"), ("duality-check",)])
 def test_even_p_value_over_bound_exit_code(tmp_path, command, p):

@@ -531,21 +531,28 @@ def test_linf_widest_gap_is_the_answer(point, want):
 )
 def test_linf_differences_the_table_once(d, signed, monkeypatch):
     # both sides read one table: the open range (u - 1, v + 1) on an axis
-    # >= 1 holds the points of the closed range (u, v); a rule with a
-    # negative weight adds one row, its columns' negative weights C-
-    heights = []
+    # >= 1 holds the points of the closed range (u, v).  It is never built
+    # whole: its head, differenced over axes 1 .. d-2 (at d = 1 the prefix
+    # itself), is built once, and the last axis is differenced per slab.
+    # Row -1 of the table is one row, and a rule with a negative weight
+    # adds one more, its columns' negative weights C-
+    shapes = []
     difference_rest = engines._difference_rest
 
-    def counting(prefix, *args):
-        heights.append(len(prefix))
-        return difference_rest(prefix, *args)
+    def recording(*args):
+        table = difference_rest(*args)
+        shapes.append(table.shape)
+        return table
 
-    monkeypatch.setattr(engines, "_difference_rest", counting)
+    monkeypatch.setattr(engines, "_difference_rest", recording)
     ps, ws = named_rule(f"signed6x{d}" if signed else f"vdc6x{d}")
     assert (ws.values.min() < 0.0) == signed
     extreme_linf_exact(ps, ws)
-    full = len(CellDecomposition.from_points(ps).gammas[0]) + 1
-    assert heights == ([full, 1] if signed else [full])
+    lines = [len(g) for g in CellDecomposition.from_points(ps).gammas]
+    columns = math.prod(k * (k + 1) // 2 for k in lines[1:])
+    head = math.prod(k * (k + 1) // 2 for k in lines[1:-1]) * (lines[-1] + 1) if d > 1 else 1
+    assert shapes == [(lines[0] + 1, head)] + [(1, columns)] * (2 if signed else 1)
+    assert d == 1 or head < columns
 
 
 @pytest.mark.parametrize("rule, share", [("vdc20x3", 0.3), ("vdc10x4", 0.05)])
@@ -556,9 +563,9 @@ def test_linf_scans_only_columns_that_can_beat_the_best(rule, share, monkeypatch
     scanned = []
     linf_side = engines._linf_side
 
-    def counting(t, g, side, cols, *args):
+    def counting(table, g, side, cols, *args):
         scanned.append(len(cols))
-        return linf_side(t, g, side, cols, *args)
+        return linf_side(table, g, side, cols, *args)
 
     monkeypatch.setattr(engines, "_linf_side", counting)
     ps, ws = named_rule(rule)
@@ -670,20 +677,29 @@ def test_even_p_outputs_are_pinned(rule, p):
     [
         (extreme_l2_exact, "vdc4096x8", 64),
         (lambda ps, ws: extreme_lp_exact_even_p(ps, ws, 2), "vdc512x1", 64),
-        (extreme_linf_exact, "vdc100x2", 11),
-        (extreme_linf_exact, "vdc20x3", 24),
-        (extreme_linf_exact, "vdc10x4", 60),
-        (extreme_linf_exact, "signed20x3", 25),
+        (extreme_linf_exact, "vdc100x2", 4),
+        (extreme_linf_exact, "vdc20x3", 6),
+        (extreme_linf_exact, "vdc10x4", 15),
+        (extreme_linf_exact, "signed20x3", 7),
+        (extreme_linf_exact, "center1x9", 100),
     ],
-    ids=["l2-4096x8", "even2-512x1", "linf-100x2", "linf-20x3", "linf-10x4", "linf-signed20x3"],
+    ids=[
+        "l2-4096x8",
+        "even2-512x1",
+        "linf-100x2",
+        "linf-20x3",
+        "linf-10x4",
+        "linf-signed20x3",
+        "linf-center1x9",
+    ],
 )
 def test_exact_memory_is_bounded(engine, rule, mib):
     # dense forms need an n x n kernel (128 MiB per array at n = 4096) or a
-    # (cells x n) membership matrix (540 MB at n = 512, d = 1); the sup norm
-    # holds its differenced table (4 MiB at 100x2, 9 MiB at 20x3, 26 MiB at
-    # 10x4, 11 MiB at signed20x3, which also builds its one-row C- table)
-    # and must not add a second one, e.g. a full (grid lines x columns)
-    # temporary
+    # (cells x n) membership matrix (540 MB at n = 512, d = 1).  The sup norm
+    # never holds its whole differenced table (measured peaks with it: 8.2,
+    # 18.9, 57.6, 23.6 and 138.7 MiB), only the head differenced over axes
+    # 1 .. d-2, its bound rows and one slab of columns (measured: 2.6, 4.4,
+    # 11.1, 5.3 and 93.1 MiB, the last while building the head)
     ps, ws = named_rule(rule)
     tracemalloc.start()
     try:
@@ -702,10 +718,13 @@ def signed_rule(n, d, seed):
 
 
 def named_rule(name):
-    """vdcNxD, the van der Corput rule, or signedNxD, `signed_rule` with seed 3."""
-    kind, n, d = re.fullmatch(r"(vdc|signed)(\d+)x(\d+)", name).groups()
+    """vdcNxD, the van der Corput rule, signedNxD, `signed_rule` with seed 3, or
+    centerNxD, n equal weights on the center of the cube."""
+    kind, n, d = re.fullmatch(r"(vdc|signed|center)(\d+)x(\d+)", name).groups()
     if kind == "vdc":
         return generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, int(n), int(d)))
+    if kind == "center":
+        return PointSet(np.full((int(n), int(d)), 0.5)), equal_weights(int(n))
     return signed_rule(int(n), int(d), seed=3)
 
 
@@ -996,6 +1015,34 @@ class TestOverflow:
         with pytest.raises(InternalConsistencyError, match="relative error bound .* at p = 100$"):
             extreme_lp_exact_even_p(ps, ws, 100)
 
+    @pytest.mark.parametrize(
+        "points, weights",
+        [
+            # sum |w| passes the float maximum: the sup norm returned 0.0 and
+            # 1e308 here, and L2 inf
+            ([[0.5], [0.25], [0.75]], [1.7e308, 1.7e308, 1e-300]),
+            ([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25]], [1e308, 1e308, -1e308]),
+        ],
+        ids=["d1", "d2"],
+    )
+    def test_exact_weight_sums_overflow(self, points, weights):
+        ps, w = PointSet(points), np.array(weights)
+        ws = WeightSet(w, classify_weights(w))
+        d = ps.d
+        with pytest.raises(InvalidInputError, match=f"sup-norm table can overflow .* d = {d}:"):
+            extreme_linf_exact(ps, ws)
+        with pytest.raises(InvalidInputError, match=f"L2 kernel sum can overflow .* d = {d}:"):
+            extreme_l2_exact(ps, ws)
+
+    def test_exact_weights_below_overflow(self):
+        # one point at the center: the sup norm is its weight (the closed box
+        # of zero volume on it), and L2^2 = w^2 / 4 - w / 4 + 1/12 at d = 1
+        ps = PointSet([[0.5]])
+        ws = WeightSet(np.array([1e307]), WeightKind.NONNEG)
+        assert extreme_linf_exact(ps, ws).value == 1e307
+        ws = WeightSet(np.array([1e154]), WeightKind.NONNEG)
+        assert extreme_l2_exact(ps, ws).value == pytest.approx(0.5e154, rel=1e-15)
+
     @pytest.mark.parametrize("p", [64, 512, 1028])
     def test_even_p_value_over_every_rules_bound_raises(self, p):
         # the cancelled cell sum printed 0.99158, 1.81588 and 1.90151 here, against
@@ -1049,8 +1096,8 @@ class TestGuards:
             extreme_lp_exact_even_p(ps, ws, 2, cell_budget=100)
         with pytest.raises(BudgetExceededError, match="extreme_linf_lower_mc"):
             extreme_linf_exact(ps, ws, box_budget=100)
-        # 32 grid lines per axis: the table has 33 rows of 528 columns
-        with pytest.raises(BudgetExceededError, match="a 139392-byte differenced table"):
+        # 32 grid lines per axis: the sup norm's head is the prefix, 33 x 33 entries
+        with pytest.raises(BudgetExceededError, match="a 8712-byte table head"):
             extreme_linf_exact(ps, ws, box_budget=100)
 
     def test_huge_even_p_exceeds_budget(self):
