@@ -10,17 +10,21 @@ Conventions used throughout the package:
   2^-d times the expectation under the triangle sampler `sample_box_pairs`.
 * All floating point work is binary64.
 
-Box membership for batches of boxes runs on per-axis rank tables: within a
-block of at most `_BLOCK` points, the points below the r-th distinct
-coordinate on axis j form a prefix bitset P_j[r], so the points inside
-[lower, upper) are the AND over the axes of P_j[rank(upper_j)] ^
-P_j[rank(lower_j)], with ranks among the distinct coordinates.  Ranks are
-gathers from a bucket table over a dyadic grid, exact for every finite
-anchor, plus a branchless binary search inside one bucket.  Weighted counts
-of a bitset read an 8-bit table of partial weight sums per byte.  Queries
-are tiled over boxes, so the temporaries of one call stay bounded for any n.
-A caller that queries the same points many times builds the block tables
-once (`_prepare`, up to `_TABLE_BYTES`) and passes them to every call.
+Box membership for batches of boxes runs on rank tables: within a block of
+at most `_BLOCK` points, the points below the r-th distinct coordinate on
+axis j form a prefix bitset P_j[r], so the points inside [lower, upper) are
+the AND over the axes of P_j[rank(upper_j)] ^ P_j[rank(lower_j)], with
+ranks among the distinct coordinates.  Ranks are gathers from a bucket
+table over a dyadic grid, exact for every finite anchor, plus a branchless
+binary search inside one bucket.  The block's axes share one stacked table,
+so one search ranks both anchors of a tile's boxes on every axis: a few
+numpy calls on large arrays, not a dozen small ones per axis, which keeps
+the time threads spend holding the GIL between calls short.  Weighted
+counts of a bitset read an 8-bit table of partial weight sums per byte.
+Queries are tiled over boxes, so the temporaries of one call stay bounded
+for any n.  A caller that queries the same points many times builds the
+block tables once (`_prepare`, up to `_TABLE_BYTES`) and passes them to
+every call.
 """
 
 from __future__ import annotations
@@ -44,10 +48,12 @@ CHUNK = 1 << 16
 # 16 MiB at d = 8.
 _BLOCK = 4096
 
-# Bytes of float64 weight lookups per query tile, or of its anchors when d
-# is large and the block small.  The int64 index array is as large as the
-# lookups and the tile's other temporaries are smaller, so this and one
-# block's tables cap the kernel's working memory per call for any n.
+# Bytes of float64 weight lookups per query tile, or of its rank search's
+# arrays (anchors, ranks and two work arrays: 8d numbers per box) when d is
+# large and the block small.  The int64 index array is as large as the
+# lookups, the search reuses both, and the tile's other temporaries are
+# smaller, so this and one block's tables cap the kernel's working memory
+# per call for any n.
 _TILE_BYTES = 1 << 21
 
 # Bytes of block tables that `_prepare` builds once per sampler run and the
@@ -343,52 +349,81 @@ def _volumes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return volumes
 
 
-def _rank_table(distinct: np.ndarray):
-    """Bucket table giving searchsorted(distinct, x, "left") by gathers.
+def _rank_table(distinct: list, offsets: np.ndarray) -> tuple:
+    """Bucket table giving offsets[j] + searchsorted(distinct[j], x, "left")
+    on every axis j at once, by gathers.
 
-    The sorted distinct values u fall into K = 2^(ceil(log2 len(u)) + 3)
-    buckets [k/K, (k+1)/K), and base[k] counts the u below k/K.  For a
-    finite query x and k = clip(x K, 0, K), every u below k/K is below x
+    Axis j's sorted distinct values u fall into K = 2^(ceil(log2 len(u)) + 3)
+    buckets [k/K, (k+1)/K), and its base[k] counts the u below k/K.  For a
+    query x in [0, 1] and k = floor(x K), every u below k/K is below x
     and every u of a later bucket is at least (k+1)/K > x, so the rank of x
     is base[k] plus the u of bucket k below x, found by a binary search of
-    `steps` halvings, enough for the fullest bucket.  K is a power of two,
-    so x K and k/K are exact.
+    `steps` halvings, enough for the fullest bucket of any axis.  K is a
+    power of two, so x K and k/K are exact.  The axes are stacked: `padded`
+    holds each axis's u followed by 2^steps infinities, and `base` each
+    axis's base shifted to where its u start in `padded`, so one search
+    serves every axis and reads no other axis's values: a later bucket and
+    the padding hold none below x.
     """
-    buckets = 1 << ((len(distinct) - 1).bit_length() + 3)
-    base = np.searchsorted(distinct, np.arange(buckets + 1) / buckets, "left")
-    steps = int(np.diff(base).max()).bit_length()
-    return buckets, base, np.append(distinct, np.full(1 << steps, np.inf)), steps
+    buckets = [1 << ((len(u) - 1).bit_length() + 3) for u in distinct]
+    bases = [np.searchsorted(u, np.arange(k + 1) / k, "left") for u, k in zip(distinct, buckets)]
+    steps = max(int(np.diff(b).max()).bit_length() for b in bases)
+    pad = np.full(1 << steps, np.inf)
+    padded = np.concatenate([part for u in distinct for part in (u, pad)])
+    starts = np.cumsum([0] + [len(u) + len(pad) for u in distinct[:-1]])
+    base = np.concatenate([b + s for b, s in zip(bases, starts)])
+    base_starts = np.cumsum([0] + [k + 1 for k in buckets[:-1]])
+    # per-axis constants as (d, 1) columns, to broadcast over queries (d, q)
+    scale = np.array(buckets, dtype=np.float64)[:, None]
+    shift = (np.asarray(offsets) - starts)[:, None]
+    return scale, base_starts[:, None], base, padded, steps, shift
 
 
-def _ranks(table, x: np.ndarray) -> np.ndarray:
-    """searchsorted(distinct, x, "left") for finite x, via `_rank_table`."""
-    buckets, base, padded, steps = table
-    r = base.take((np.clip(x, 0.0, 1.0) * buckets).astype(np.intp))
+def _ranks(table, x: np.ndarray, out: np.ndarray, scratch: np.ndarray, floats: np.ndarray):
+    """out[j] = offsets[j] + searchsorted(distinct[j], x[j], "left") for x
+    in [0, 1] of shape (d, q), via `_rank_table`.  `scratch` (intp) and
+    `floats` are work arrays of x's shape.  As coordinates lie in [0, 1), a
+    finite anchor outside [0, 1] has the rank of its clip to [0, 1]."""
+    scale, base_starts, base, padded, steps, shift = table
+    np.multiply(x, scale, out=floats)
+    scratch[...] = floats  # truncates to the bucket k
+    scratch += base_starts
+    # indices are in range by construction; mode="wrap" skips the buffered
+    # copy that take's default mode makes for `out`
+    base.take(scratch, out=out, mode="wrap")
     for s in reversed(range(steps)):
         # padded[r : r + 2^s] is sorted, so it is all below x iff its last is
-        r += (padded[(1 << s) - 1 :].take(r) < x) << s
-    return r
+        padded[(1 << s) - 1 :].take(out, out=floats, mode="wrap")
+        np.less(floats, x, out=scratch)
+        scratch <<= s
+        out += scratch
+    out += shift
+    return out
 
 
-def _block_tables(coords: np.ndarray, weights: np.ndarray) -> tuple[list, np.ndarray]:
-    """Tables of one block of points: per axis the prefix bitsets and the
-    rank table, and the byte table of partial weight sums."""
+def _block_tables(coords: np.ndarray, weights: np.ndarray) -> tuple:
+    """Tables of one block of points: the prefix bitsets of every axis,
+    stacked, their rank table, and the byte table of partial weight sums."""
     b, d = coords.shape
     words = -(-b // 64)
     point = np.arange(b)
-    axes = []
-    for j in range(d):
-        distinct, inverse = np.unique(coords[:, j], return_inverse=True)
-        # prefix[r]: bitset of the points below the r-th distinct coordinate
-        prefix = np.zeros((len(distinct) + 1, words), dtype=_WORD)
-        cell, bits = (inverse + 1, point >> 6), _BIT[point & 63]
+    columns = [np.unique(column, return_inverse=True) for column in coords.T]
+    # axis j's prefix bitsets start at row offsets[j]
+    offsets = np.cumsum([0] + [len(distinct) + 1 for distinct, _ in columns])
+    # prefix[offsets[j] + r]: bitset of the points below the r-th distinct
+    # coordinate on axis j
+    prefix = np.zeros((offsets[-1], words), dtype=_WORD)
+    bits = _BIT[point & 63]
+    for (distinct, inverse), row in zip(columns, offsets):
+        axis = prefix[row : row + len(distinct) + 1]
+        cell = (inverse + 1, point >> 6)
         # points of one row and word collide in the store, and ufunc.at ORs
         # them all in; the store first writes the fresh pages, which ufunc.at
         # alone would fault in twice, once to read and once to write
-        prefix[cell] = bits
-        np.bitwise_or.at(prefix, cell, bits)
-        np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
-        axes.append((prefix, _rank_table(distinct)))
+        axis[cell] = bits
+        np.bitwise_or.at(axis, cell, bits)
+        np.bitwise_or.accumulate(axis, axis=0, out=axis)
+    ranks = _rank_table([distinct for distinct, _ in columns], offsets[:-1])
     # table[k, v]: sum of the weights of points 8k + i over the set bits i of v
     bytes_per_set = 8 * words
     padded = np.zeros(8 * bytes_per_set)
@@ -397,7 +432,7 @@ def _block_tables(coords: np.ndarray, weights: np.ndarray) -> tuple[list, np.nda
     table = np.zeros((bytes_per_set, 256))
     for i in range(8):
         table[:, 1 << i : 2 << i] = table[:, : 1 << i] + padded[:, i : i + 1]
-    return axes, table.ravel()
+    return prefix, ranks, table.ravel()
 
 
 def _table_bytes_bound(n: int, d: int) -> int:
@@ -409,9 +444,10 @@ def _table_bytes_bound(n: int, d: int) -> int:
         b = min(_BLOCK, n - start)
         words = -(-b // 64)
         buckets = 1 << ((b - 1).bit_length() + 3)
-        # the byte table, and per axis the prefix bitsets, the bucket bases
-        # and the distinct coordinates with at most 2b of padding
-        total += 8 * (2048 * words + d * ((b + 1) * words + buckets + 1 + 3 * b))
+        # the byte table, and per axis the prefix bitsets, the bucket bases,
+        # the distinct coordinates with at most 2b of padding and the rank
+        # table's three constants
+        total += 8 * (2048 * words + d * ((b + 1) * words + buckets + 1 + 3 * b + 3))
     return total
 
 
@@ -430,34 +466,49 @@ def _prepare(coords: np.ndarray, weights: np.ndarray) -> list | None:
 
 def _block_counts(block, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Weighted counts of one block's points in each box [lower, upper)."""
-    axes, table = block
+    prefix, ranks, table = block
+    words = prefix.shape[1]
     bytes_per_set = table.size // 256
     row_offset = np.arange(0, table.size, 256)
     m, d = lower.shape
     counts = np.zeros(m)
-    rows = max(1, _TILE_BYTES // (8 * max(bytes_per_set, 2 * d)))
+    rows = max(1, _TILE_BYTES // (8 * max(bytes_per_set, 8 * d)))
     tile = min(rows, m)
-    index = np.empty((tile, bytes_per_set), dtype=np.intp)
-    values = np.empty(index.shape)
-    # anchors[j] holds a tile's lower and upper anchors on axis j as two
-    # contiguous rows; in lower and upper they lie d floats apart
-    anchors = np.empty((d, 2, tile))
+    # the byte-table step's index and values arrays are reused within each
+    # tile: index first holds the 2d ranks per box and their search's work
+    # array, values the search's floats, then the two bitsets per box of
+    # the axis being gathered, then the occupied boxes' bitsets, which the
+    # byte indices are made of before the lookups overwrite them.  Each use
+    # is done with before the next writes.
+    index = np.empty(tile * max(bytes_per_set, 4 * d), dtype=np.intp)
+    values = np.empty(tile * max(bytes_per_set, 2 * d))
+    spare = values.view(_WORD)
+    anchors = np.empty(2 * d * tile)
+    sets = np.empty((tile, words), dtype=_WORD)
     for start in range(0, m, rows):
         k = min(rows, m - start)
-        tile_anchors = anchors[:, :, :k]
-        tile_anchors[:, 0] = lower[start : start + k].T
-        tile_anchors[:, 1] = upper[start : start + k].T
-        inside = None
-        for (prefix, rank_table), pair in zip(axes, tile_anchors):
-            # lo_j <= x < hi_j is the rank interval [rank(lo_j), rank(hi_j))
-            r_lo, r_hi = _ranks(rank_table, pair)
-            np.maximum(r_hi, r_lo, out=r_hi)  # lo > hi holds no point
-            axis_in = prefix.take(r_hi, axis=0)
-            axis_in ^= prefix.take(r_lo, axis=0)
-            if inside is None:
-                inside = axis_in
+        q = 2 * k
+        # x[j] holds a tile's lower and upper anchors on axis j, clipped to
+        # [0, 1] for `_ranks`, as two contiguous halves; in lower and upper
+        # they lie d floats apart
+        x = anchors[: d * q].reshape(d, 2, k)
+        np.clip(lower[start : start + k].T, 0.0, 1.0, out=x[:, 0])
+        np.clip(upper[start : start + k].T, 0.0, 1.0, out=x[:, 1])
+        r = index[: d * q].reshape(d, 2, k)
+        work = index[d * q : 2 * d * q].reshape(d, q)
+        _ranks(ranks, x.reshape(d, q), r.reshape(d, q), work, values[: d * q].reshape(d, q))
+        np.maximum(r[:, 1], r[:, 0], out=r[:, 1])  # lo > hi holds no point
+        inside = sets[:k]
+        pair = spare[: 2 * k * words].reshape(2, k, words)
+        for j in range(d):
+            # lo_j <= x < hi_j is the rank interval [rank(lo_j), rank(hi_j)),
+            # whose points are P_j[rank(hi_j)] ^ P_j[rank(lo_j)]
+            prefix.take(r[j], axis=0, out=pair, mode="wrap")
+            if j:
+                np.bitwise_xor(pair[1], pair[0], out=pair[1])
+                inside &= pair[1]
             else:
-                inside &= axis_in
+                np.bitwise_xor(pair[1], pair[0], out=inside)
         # a box whose bitset is all zero holds no point and keeps the 0.0
         # its bytes sum to, so only the other boxes read the byte table (in
         # high d most sampled boxes are empty).  The word columns are ORed,
@@ -465,11 +516,13 @@ def _block_counts(block, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         occupied = reduce(np.bitwise_or, inside.T) != 0
         hit = np.flatnonzero(occupied)
         n_hit = len(hit)
-        # indices are in range by construction; mode="wrap" skips the
-        # buffered copy that take's default mode makes for `out`
-        np.add(inside[hit].view(np.uint8), row_offset, out=index[:n_hit])
-        table.take(index[:n_hit], out=values[:n_hit], mode="wrap")
-        counts[start + hit] = values[:n_hit].sum(axis=1)
+        # take is about 2.7 times as fast as inside[hit] here
+        hit_sets = inside.take(hit, axis=0, out=pair[0, :n_hit], mode="wrap")
+        hit_index = index[: n_hit * bytes_per_set].reshape(n_hit, bytes_per_set)
+        hit_values = values[: n_hit * bytes_per_set].reshape(n_hit, bytes_per_set)
+        np.add(hit_sets.view(np.uint8), row_offset, out=hit_index)
+        table.take(hit_index, out=hit_values, mode="wrap")
+        counts[start + hit] = hit_values.sum(axis=1)
     return counts
 
 

@@ -619,7 +619,9 @@ def _sample(ps: PointSet, ws: WeightSet, samples: int, seed: int, workers: int, 
     every chunk and thread reads the same ones; points whose tables could
     pass `core._TABLE_BYTES` get none, and each chunk builds its own, one
     block at a time.  Each thread holds one chunk's boxes and kernel
-    temporaries, so the pool never outnumbers the chunks or the CPUs.
+    temporaries, so the pool never outnumbers the chunks or the CPUs this
+    process may run on (two threads on one CPU only hand the GIL back and
+    forth).
     Callers check their arguments with _check_sampling first.
     """
     full, rem = divmod(samples, CHUNK)
@@ -630,7 +632,8 @@ def _sample(ps: PointSet, ws: WeightSet, samples: int, seed: int, workers: int, 
         lo, hi = sample_box_pairs(substream(seed, i), sizes[i], ps.d)
         return per_chunk(local_discrepancy_batch(ps.coords, ws.values, lo, hi, tables=tables))
 
-    workers = min(workers, len(sizes), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(sizes), cpus or 1)
     if workers == 1:
         return [run_chunk(i) for i in range(len(sizes))]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -29,6 +29,7 @@ from extdisc import (
     save_points,
     substream,
 )
+from extdisc import core
 from extdisc.core import (
     _BIT,
     _BLOCK,
@@ -45,6 +46,7 @@ from extdisc.core import (
     local_discrepancy_batch,
     points_csv,
 )
+from extdisc.generators import GeneratorKind, GeneratorSpec, generate
 
 
 def box(lo, hi):
@@ -249,7 +251,7 @@ def reference_block_counts(coords, weights, lower, upper):
         prefix[cell] = bits
         np.bitwise_or.at(prefix, cell, bits)
         np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
-        axes.append((prefix, _rank_table(distinct)))
+        axes.append((prefix, distinct))
     bytes_per_set = 8 * words
     padded = np.zeros(8 * bytes_per_set)
     padded[:b] = weights
@@ -269,8 +271,9 @@ def reference_block_counts(coords, weights, lower, upper):
         lo = lower[start : start + rows]
         hi = upper[start : start + rows]
         inside = None
-        for j, (prefix, rank_table) in enumerate(axes):
-            r_lo, r_hi = _ranks(rank_table, np.stack((lo[:, j], hi[:, j])))
+        for j, (prefix, distinct) in enumerate(axes):
+            # searchsorted gives the ranks the kernel's rank tables give
+            r_lo, r_hi = np.searchsorted(distinct, np.stack((lo[:, j], hi[:, j])), "left")
             np.maximum(r_hi, r_lo, out=r_hi)
             axis_in = prefix.take(r_hi, axis=0)
             axis_in ^= prefix.take(r_lo, axis=0)
@@ -307,8 +310,8 @@ def reference_batch(coords, weights, lower, upper):
 def test_batch_kernel_matches_parent_reference(n, d, grid, duplicates, qmc, m, seed):
     # the kernel with and without tables built once for many calls is bit
     # for bit the kernel that built its tables per call.
-    # n = 4097 and 9000 cross _BLOCK; a tile holds 2^18 / max(8 words, 2d)
-    # rows (32768 at n <= 64), so the larger box counts end in a partial tile
+    # n = 4097 and 9000 cross _BLOCK; a tile holds 2^18 / max(8 words, 8d)
+    # rows (32768 / d at n <= 64), so the larger box counts end in a partial tile
     if m == 40000 and n > 300:
         m = 1500  # keeps the reference's cost down; a tile there holds 512 rows
     rng = np.random.default_rng(seed)
@@ -336,8 +339,9 @@ def test_batch_kernel_matches_parent_reference(n, d, grid, duplicates, qmc, m, s
 
 
 def table_bytes(block):
-    axes, table = block
-    return table.nbytes + sum(p.nbytes + base.nbytes + u.nbytes for p, (_, base, u, _) in axes)
+    prefix, ranks, table = block
+    arrays = [a for a in ranks if isinstance(a, np.ndarray)]
+    return prefix.nbytes + table.nbytes + sum(a.nbytes for a in arrays)
 
 
 @pytest.mark.parametrize(
@@ -366,24 +370,64 @@ def test_batch_rejects_tables_of_other_points():
 
 @pytest.mark.parametrize("fullest", [1, 2, 3, 4, 7, 8, 15, 16, 17, 4096])
 def test_ranks_match_searchsorted(fullest):
-    # one bucket holds `fullest` values 2^-42 apart just above the bucket
-    # edge 5/16; the 16 others sit alone at the midpoints of (k/16, (k+1)/16)
+    # axis 1 holds `fullest` values 2^-42 apart just above the bucket edge
+    # 5/16, and the 16 others at the midpoints of (k/16, (k+1)/16); axes 0
+    # and 2 hold one value per bucket, axis 2 fewer than axis 0.  The
+    # search takes the steps of axis 1's fullest bucket on every axis
     cluster = 5 / 16 + 2.0**-30 + np.arange(fullest) * 2.0**-42
-    distinct = np.sort(np.concatenate((cluster, (np.arange(16) + 0.5) / 16)))
-    table = _rank_table(distinct)
-    buckets, base = table[0], table[1]
-    assert np.diff(base).max() == fullest
+    midpoints = (np.arange(16) + 0.5) / 16
+    distinct = [
+        (np.arange(64) + 0.5) / 64,
+        np.sort(np.concatenate((cluster, midpoints))),
+        midpoints[::3],
+    ]
+    offsets = np.array([7, 1000, 3])
+    table = _rank_table(distinct, offsets)
+    scale, base_starts, base, steps = table[0], table[1], table[2], table[4]
+    assert steps == fullest.bit_length()
     big = np.finfo(np.float64).max
-    x = np.concatenate(
-        (
-            distinct,
-            np.nextafter(distinct, -np.inf),
-            np.nextafter(distinct, np.inf),
-            np.arange(buckets + 1) / buckets,
-            [0.0, 1.0, -0.0, -1e-300, -3.0, 1.5, 1e300, -big, big],
-        )
-    )
-    assert np.array_equal(_ranks(table, x), np.searchsorted(distinct, x, "left"))
+    queries = []
+    for u, buckets in zip(distinct, scale[:, 0]):
+        edges = np.arange(buckets + 1) / buckets
+        queries += [u, np.nextafter(u, -np.inf), np.nextafter(u, np.inf), edges]
+    queries.append([0.0, 1.0, -0.0, -1e-300, -3.0, 1.5, 1e300, -big, big])
+    x = np.concatenate(queries)
+    # each axis is queried at every value and bucket edge of all three; the
+    # kernel passes anchors clipped to [0, 1], which keeps their ranks
+    clipped = np.stack([np.clip(x, 0.0, 1.0)] * 3)
+    ints = np.empty((2, *clipped.shape), dtype=np.intp)
+    got = _ranks(table, clipped, ints[0], ints[1], np.empty(clipped.shape))
+    for j, u in enumerate(distinct):
+        assert np.array_equal(got[j] - offsets[j], np.searchsorted(u, x, "left"))
+    # and each axis's bucket bases count its own values only
+    for j, u in enumerate(distinct):
+        edges = np.arange(scale[j, 0] + 1) / scale[j, 0]
+        own = base[base_starts[j, 0] : base_starts[j, 0] + len(edges)]
+        assert np.array_equal(np.diff(own), np.diff(np.searchsorted(u, edges, "left")))
+    assert np.diff(base[base_starts[1, 0] : base_starts[2, 0]]).max() == fullest
+
+
+def test_block_counts_search_ranks_once_per_tile(monkeypatch):
+    # one rank search per tile covers all d axes and both anchors
+    n, d = 512, 8
+    coords = substream(11, 0).random((n, d))
+    weights = substream(11, 1).standard_normal(n) / n
+    tables = _prepare(coords, weights)
+    rows = _TILE_BYTES // (8 * max(8 * (-(-n // 64)), 8 * d))
+    m = 3 * rows + 100
+    lo, hi = sample_box_pairs(substream(11, 2), m, d)
+    want = local_discrepancy_batch(coords, weights, lo, hi, tables=tables)
+    searched = []
+    search = core._ranks
+
+    def counted(table, x, *work):
+        searched.append(x.shape)
+        return search(table, x, *work)
+
+    monkeypatch.setattr(core, "_ranks", counted)
+    got = local_discrepancy_batch(coords, weights, lo, hi, tables=tables)
+    assert searched == [(d, 2 * rows)] * 3 + [(d, 200)]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -410,6 +454,36 @@ def test_batch_memory_is_bounded(n, levels, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+@pytest.mark.parametrize(
+    "rule, bound",
+    [
+        # one rank search per axis peaked at 8.13 and 6.32 MiB; one per
+        # tile at 3.97 and 5.89 MiB
+        pytest.param("vdc64x2", 4.5, id="vdc64x2"),
+        pytest.param("signed512x8", 6.25, id="signed512x8"),
+    ],
+)
+def test_prepared_chunk_memory(rule, bound):
+    # one sampler chunk's kernel call on the tables `_prepare` built: the
+    # tile's ranks share the byte-table step's arrays, so the search adds
+    # no tile-sized arrays of its own
+    if rule == "vdc64x2":
+        ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, 64, 2))
+        coords, weights = ps.coords, ws.values
+    else:
+        coords = substream(7, 0).random((512, 8))
+        weights = (1.0 + 0.5 * substream(7, 1).standard_normal(512)) / 512
+    tables = _prepare(coords, weights)
+    lo, hi = sample_box_pairs(substream(7, 2), 1 << 16, coords.shape[1])
+    tracemalloc.start()
+    try:
+        local_discrepancy_batch(coords, weights, lo, hi, tables=tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 2**20
 
 
 def test_box_pairs_memory():

@@ -804,6 +804,28 @@ def test_sampled_outputs_are_pinned(rule, workers):
     assert tuple(v.hex() for v in got) == PINNED[rule]
 
 
+def record_pools(monkeypatch) -> list:
+    """Replace the sampler's thread pool by a stub that records its size
+    and maps in the calling thread."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(engines, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
 class TestMonteCarloContract:
     def test_worker_count_is_output_neutral(self):
         rng = np.random.default_rng(101)
@@ -831,24 +853,9 @@ class TestMonteCarloContract:
         assert s1.value == s2.value
 
     def test_pool_is_capped_by_chunks_and_cpus(self, monkeypatch):
-        # the stub records the pool size and maps in the calling thread
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(engines, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(engines.os, "cpu_count", lambda: 4)
+        pools = record_pools(monkeypatch)
+        monkeypatch.setattr(engines.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(engines.os, "cpu_count", lambda: 5)  # the machine's, not ours
         ps, ws = PointSet([[0.3, 0.6]]), equal_weights(1)
         for chunks, workers, pool in [(3, 10**6, 3), (6, 10**6, 4), (6, 2, 2), (1, 8, None)]:
             pools.clear()
@@ -857,9 +864,27 @@ class TestMonteCarloContract:
             many = extreme_lp_mc(ps, ws, 3.0, samples, seed=7, workers=workers)
             assert pools == ([] if pool is None else [pool])
             assert one.value == many.value and one.stderr == many.stderr
+        # without an affinity mask the pool counts the machine's CPUs
+        monkeypatch.delattr(engines.os, "sched_getaffinity", raising=False)
+        extreme_linf_lower_mc(ps, ws, 6 * 65536, seed=7, workers=10**6)
+        assert pools[-1] == 5
+        pools.clear()
         monkeypatch.setattr(engines.os, "cpu_count", lambda: None)  # unknown: one thread
         extreme_linf_lower_mc(ps, ws, 3 * 65536, seed=7, workers=4)
         assert pools == []
+
+    def test_one_allowed_cpu_starts_no_pool(self, monkeypatch):
+        # under taskset or a one-CPU cpuset, cpu_count still counts the
+        # machine; two threads on the one CPU would only take turns
+        ps, ws = signed_rule(64, 3, seed=2)
+        samples = 2 * 65536 + 10
+        want = extreme_lp_mc(ps, ws, 3.0, samples, seed=7, workers=1)
+        pools = record_pools(monkeypatch)
+        monkeypatch.setattr(engines.os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        monkeypatch.setattr(engines.os, "cpu_count", lambda: 4)
+        got = extreme_lp_mc(ps, ws, 3.0, samples, seed=7, workers=2)
+        assert pools == []
+        assert got.value.hex() == want.value.hex() and got.stderr.hex() == want.stderr.hex()
 
     def test_seed_changes_result(self):
         ps = PointSet([[0.3]])
