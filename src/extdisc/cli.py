@@ -41,15 +41,7 @@ from .core import (
     points_csv,
 )
 from .dual import conjugate_exponent, duality_gap_mc
-from .engines import (
-    _EXPONENT_RULES,
-    _check_exponent,
-    extreme_l2_exact,
-    extreme_linf_exact,
-    extreme_linf_lower_mc,
-    extreme_lp_exact_even_p,
-    extreme_lp_mc,
-)
+from .engines import _METHODS, _check_exponent
 from .generators import GeneratorKind, GeneratorSpec, generate
 
 
@@ -94,21 +86,14 @@ def cmd_disc(args) -> int:
     if args.weights == "qmc" and ps.n:  # an empty rule has no 1/n weights to force
         ws = equal_weights(ps.n)
     method = Method(args.method)
-    p = _resolve_p(args, default=_EXPONENT_RULES[method][2])
+    _, _, default_p, run = _METHODS[method]
+    p = _resolve_p(args, default=default_p)
     _check_exponent(method, p)
     if method in _RANDOMIZED:
         _need_sampling(args)
     # without --budget the exact engines keep their default budgets
     budget = () if args.budget is None else (args.budget,)
-    samples, seed, workers = args.samples, args.seed, args.workers
-    engines = {
-        Method.L2_EXACT: lambda: extreme_l2_exact(ps, ws),
-        Method.EVEN_P_EXACT: lambda: extreme_lp_exact_even_p(ps, ws, p, *budget),
-        Method.MC: lambda: extreme_lp_mc(ps, ws, p, samples, seed, workers),
-        Method.LINF_EXACT: lambda: extreme_linf_exact(ps, ws, *budget),
-        Method.LINF_SAMPLED: lambda: extreme_linf_lower_mc(ps, ws, samples, seed, workers),
-    }
-    res = engines[method]()
+    res = run(ps, ws, p, budget, (args.samples, args.seed, args.workers))
     _print_json(res.to_json_dict("disc", ps.d, ps.n))
     return 0
 
@@ -223,6 +208,7 @@ def cmd_duality_check(args) -> int:
             "seed": chk.seed,
             "norm": chk.norm,
             "norm_method": chk.norm_method,
+            "norm_stderr": chk.norm_stderr,
             "pairing": chk.pairing,
             "pairing_stderr": chk.pairing_stderr,
             "pairing_z": chk.pairing_z,

@@ -151,13 +151,17 @@ class DualityCheck:
     norm of c* and should match 1.  Pointwise c* delta = |delta|^p /
     norm^(p-1) and |c*|^q = |delta|^p / norm^p, so both are the one sampled
     integral of |delta|^p, scaled: qnorm_pow is pairing / norm and the two
-    z-scores are equal.  z-scores use the sample stderr.
+    z-scores are equal.  A sampled norm is a second estimate of that
+    integral, m2 = norm^p with stderr p norm^(p-1) norm_stderr (delta
+    method; norm_stderr is 0.0 when exact), and pairing - norm is
+    (m1 - m2) / norm^(p-1): z divides by hypot(pairing_stderr, p norm_stderr).
     """
 
     p: float
     q: float
     norm: float
     norm_method: str
+    norm_stderr: float
     pairing: float
     pairing_stderr: float
     samples: int
@@ -173,7 +177,8 @@ class DualityCheck:
 
     @property
     def pairing_z(self) -> float:
-        return _zscore(self.pairing, self.norm, self.pairing_stderr)
+        se = math.hypot(self.pairing_stderr, self.p * self.norm_stderr)
+        return _zscore(self.pairing, self.norm, se)
 
     @property
     def qnorm_z(self) -> float:
@@ -201,14 +206,15 @@ def duality_gap_mc(
 ) -> DualityCheck:
     """Monte Carlo audit of the duality identities for one rule.
 
-    The norm comes from `engines._evaluate`: exact when p is 2, or an even
-    integer whose cell count fits the default cell budget, and from an
-    independent Monte Carlo stream otherwise; `norm_method` names the
-    engine that ran.  The pairing then comes from fresh sampled boxes: it
-    is the L_p sampler's integral of |delta|^p at `seed`, over norm^(p-1).
-    Its target is norm, reported with a delta-free z-score.  When both
-    fail, the pairing's overflow or underflow is raised before a norm
-    engine's `InternalConsistencyError`.
+    The norm comes from `engines._evaluate`, through the engine calls of
+    `disc`: exact when p is 2, or an even integer within the default cell
+    budget, and from an independent Monte Carlo stream otherwise;
+    `norm_method` names the engine that ran.  The pairing then comes from
+    fresh sampled boxes: it is the L_p sampler's integral of |delta|^p at
+    `seed`, over norm^(p-1).  Its target is norm, reported with a
+    z-score that counts both estimates' errors.  When both fail, the
+    pairing's overflow or underflow is raised before a norm engine's
+    `InternalConsistencyError`.
     """
     p = _check_p_over_1(p, "duality audit needs p > 1 (q finite)")
     _check_sampling(ps, ws, samples, seed, workers, least=2)
@@ -230,6 +236,7 @@ def duality_gap_mc(
         q=conjugate_exponent(p),
         norm=norm,
         norm_method=res.method.value,
+        norm_stderr=res.stderr or 0.0,
         pairing=moment / pairing_scale,
         pairing_stderr=moment_se / pairing_scale,
         samples=samples,

@@ -8,13 +8,13 @@ and its p = infinity analogue, the essential supremum.  Exact finite-p
 evaluation is supported for p = 2 (closed form) and all even integers
 (piecewise-polynomial cell integration); other finite p go through Monte
 Carlo.  The sup norm has an exact grid enumeration and a sampled hard
-lower bound.  One table, `_EXPONENT_RULES`, holds the exponents each
-`Method` accepts, for the engines, the CLI and `_evaluate`, the duality
-audit's norm engine choice.  Every sampler, `dual.duality_gap_mc`
-included, runs on one chunked core, `_sample`; the L_p sampler and the
-audit share one statistic, the sampled integral of |delta|^p
-(`_lp_moment`).  A finite rule misses boxes of positive volume, so a
-total that is not positive is an error, never 0; so is a sum past the
+lower bound.  One table, `_METHODS`, holds each `Method`'s exponents and
+engine call, run by `disc` and by `_evaluate`, the duality audit's norm
+engine choice.  Every sampler, `dual.duality_gap_mc` included, runs on one
+chunked core, `_sample`; the L_p sampler and the audit share one
+statistic, the sampled integral of |delta|^p (`_lp_moment`).  A finite
+rule misses boxes of positive volume, so a total that is not positive is
+an error, never 0; so is a sum past the
 float maximum (for the L2 and sup-norm engines, one that sum |w| does not
 rule out), and an even-p value above S 2^(-d/p), a bound that every
 rule with S = max(sum w+, 1 + sum |w-|) meets.  The even-p cell sum
@@ -80,28 +80,35 @@ _SLAB = 1 << 16
 _CANCEL_TOL = 1e-6
 
 
-# method -> (accepted p, test, p implied when none is given), for the engines, dual and CLI
-_EXPONENT_RULES = {
-    Method.L2_EXACT: ("p = 2", lambda p: p == 2, 2.0),
+# method -> (accepted p, test, p implied when none is given, engine call), for the
+# engines, dual and CLI.  A call takes (ps, ws, p, budget: () or (budget,),
+# sampling: (samples, seed, workers)) and looks its engine up by module-global
+# name when it runs, so a wrapper set on that name (bench/tracing.py) sees it.
+_METHODS = {
+    Method.L2_EXACT: (
+        "p = 2", lambda p: p == 2, 2.0, lambda ps, ws, p, b, s: extreme_l2_exact(ps, ws)),
     Method.EVEN_P_EXACT: (
-        "an even integer p >= 2",
-        lambda p: 2 <= p < math.inf and p % 2 == 0,
-        None,
-    ),
-    Method.MC: ("1 <= p < inf", lambda p: 1 <= p < math.inf, None),
-    Method.LINF_EXACT: ("p = inf", lambda p: p == math.inf, math.inf),
-    Method.LINF_SAMPLED: ("p = inf", lambda p: p == math.inf, math.inf),
+        "an even integer p >= 2", lambda p: 2 <= p < math.inf and p % 2 == 0, None,
+        lambda ps, ws, p, b, s: extreme_lp_exact_even_p(ps, ws, p, *b)),
+    Method.MC: (
+        "1 <= p < inf", lambda p: 1 <= p < math.inf, None,
+        lambda ps, ws, p, b, s: extreme_lp_mc(ps, ws, p, *s)),
+    Method.LINF_EXACT: (
+        "p = inf", lambda p: p == math.inf, math.inf,
+        lambda ps, ws, p, b, s: extreme_linf_exact(ps, ws, *b)),
+    Method.LINF_SAMPLED: (
+        "p = inf", lambda p: p == math.inf, math.inf,
+        lambda ps, ws, p, b, s: extreme_linf_lower_mc(ps, ws, *s)),
 }
 
 
 def _accepts(method: Method, p) -> bool:
-    return _EXPONENT_RULES[method][1](p)
+    return _METHODS[method][1](p)
 
 
 def _check_exponent(method: Method, p) -> None:
     if not _accepts(method, p):
-        text = _EXPONENT_RULES[method][0]
-        raise InvalidInputError(f"{method.value} requires {text}, got p = {p}")
+        raise InvalidInputError(f"{method.value} requires {_METHODS[method][0]}, got p = {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +141,16 @@ class CellDecomposition:
         """Ordered pairs k(k+1)/2 per axis, k = grid lines - drop (1: intervals, 0: lines)."""
         return [k * (k + 1) // 2 for k in (len(g) - drop for g in self.gammas)]
 
-    def _fits(self, drop: int, budget: int) -> bool:
-        """Whether the pair count for `drop` (as in `_pair_counts`) fits budget."""
-        return math.prod(self._pair_counts(drop)) <= budget
-
     def _check_budget(
         self, drop: int, budget: int, noun: str, fallback: str, head: bool = False
     ) -> None:
-        """Raise unless `_fits(drop, budget)`, naming the bytes of the table built.
+        """Raise unless the pair count for `drop` fits budget, naming the table's bytes.
 
         That table is the prefix differenced over axes 1.. (`_difference_rest`),
         or with head, over axes 1 .. d-2 only (`extreme_linf_exact`'s head).
         """
-        if not self._fits(drop, budget):
-            counts = self._pair_counts(drop)
+        counts = self._pair_counts(drop)
+        if math.prod(counts) > budget:
             cut = max(1, len(counts) - 1) if head else len(counts)
             lengths = [len(g) + 1 for g in self.gammas]
             nbytes = 8 * lengths[0] * math.prod(counts[1:cut]) * math.prod(lengths[cut:])
@@ -281,16 +284,8 @@ def extreme_lp_exact_even_p(
     which tensorize across dimensions.  The cell (s, t) of an axis holds
     the points on grid lines s+1 .. t, so every C is a difference of
     `CellDecomposition.prefix_weights`.  Work grows with the product over
-    axes of the interval pair counts; `cell_budget` caps that product.
-    """
-    _check_pair(ps, ws)
-    _check_exponent(Method.EVEN_P_EXACT, p)
-    _check_count("cell_budget", cell_budget, 1)
-    return _even_p_cells(CellDecomposition.from_points(ps), ws, int(p), cell_budget)
-
-
-def _even_p_cells(cd, ws: WeightSet, p: int, cell_budget: int) -> DiscrepancyResult:
-    """`extreme_lp_exact_even_p` on the decomposition cd of the checked points.
+    axes of the interval pair counts; `cell_budget` caps that product, and
+    also the p + 1 binomial terms of one cell.
 
     Past the checks on the total, the result carries error_bound, eps times
     the sum of the parts' sizes over the total (`_even_p_sum`): each part
@@ -298,10 +293,15 @@ def _even_p_cells(cd, ws: WeightSet, p: int, cell_budget: int) -> DiscrepancyRes
     where they cancel, the total keeps about -log10(error_bound) digits.
     Over `_CANCEL_TOL` this raises instead of returning a value.
     """
-    if p + 1 > cell_budget:  # the work is at least p + 1 binomial terms
+    _check_pair(ps, ws)
+    _check_exponent(Method.EVEN_P_EXACT, p)
+    _check_count("cell_budget", cell_budget, 1)
+    p = int(p)
+    if p + 1 > cell_budget:
         raise BudgetExceededError(
             f"p = {p} needs {p + 1} terms per cell, over budget {cell_budget}; use extreme_lp_mc"
         )
+    cd = CellDecomposition.from_points(ps)
     cd._check_budget(1, cell_budget, "cells", "extreme_lp_mc")
     total, size = _even_p_sum(cd, ws, p)
     if not total > 0.0:
@@ -723,16 +723,18 @@ def extreme_linf_lower_mc(
     )
 
 
-
 def _evaluate(ps: PointSet, ws: WeightSet, p, samples, seed, workers) -> DiscrepancyResult:
-    """The audit's L_p: closed form at p = 2, cells at an even p within budget, else sampled.
+    """The audit's L_p, from the first l2-exact, even-exact or mc row that takes p.
 
-    The cell engine runs on the decomposition built for its budget test.
+    An exact row takes p when its `_METHODS` test accepts p and its engine, at its
+    default budget, does not raise `BudgetExceededError`: an even p whose cells or
+    binomial terms pass the cell budget is sampled.  Every other error propagates.
     """
-    if _accepts(Method.L2_EXACT, p):
-        return extreme_l2_exact(ps, ws)
-    if _accepts(Method.EVEN_P_EXACT, p):
-        cd = CellDecomposition.from_points(ps)
-        if cd._fits(1, DEFAULT_CELL_BUDGET):
-            return _even_p_cells(cd, ws, int(p), DEFAULT_CELL_BUDGET)
-    return extreme_lp_mc(ps, ws, p, samples, seed, workers)
+    sampling = (samples, seed, workers)
+    for method in (Method.L2_EXACT, Method.EVEN_P_EXACT):
+        if _accepts(method, p):
+            try:
+                return _METHODS[method][3](ps, ws, p, (), sampling)
+            except BudgetExceededError:
+                pass
+    return _METHODS[Method.MC][3](ps, ws, p, (), sampling)

@@ -12,14 +12,23 @@ import numpy as np
 import pytest
 
 from extdisc import (
+    BudgetExceededError,
     InvalidInputError,
+    Method,
     PointSet,
+    WeightKind,
+    WeightSet,
     certificate_lower_bound,
     equal_weights,
     extreme_l2_exact,
+    extreme_linf_exact,
+    extreme_linf_lower_mc,
+    extreme_lp_exact_even_p,
+    extreme_lp_mc,
     load_points,
     save_points,
 )
+from extdisc import cli
 from extdisc.cli import _exponent, main
 
 RESULT_KEYS = {"task", "p", "d", "n", "method", "value", "stderr", "samples", "seed"}
@@ -288,6 +297,47 @@ def test_cancelled_even_p_sum_exit_code(tmp_path, command):
     assert "relative error bound" in err and "at p = 12" in err
 
 
+def test_cli_binds_no_engine():
+    # `disc` runs the engines through the rows of `engines._METHODS` only
+    assert [name for name in vars(cli) if name.startswith("extreme_")] == []
+
+
+SAMPLING = ("--samples", "3000", "--seed", "7", "--workers", "2")
+
+# method -> (its disc flags, the public engine call it must match, given budget () or (b,))
+DIRECT_CALLS = {
+    Method.L2_EXACT: ((), lambda ps, ws, b: extreme_l2_exact(ps, ws)),
+    Method.EVEN_P_EXACT: (("--p", "4"), lambda ps, ws, b: extreme_lp_exact_even_p(ps, ws, 4, *b)),
+    Method.MC: (("--p", "3", *SAMPLING), lambda ps, ws, b: extreme_lp_mc(ps, ws, 3, 3000, 7, 2)),
+    Method.LINF_EXACT: ((), lambda ps, ws, b: extreme_linf_exact(ps, ws, *b)),
+    Method.LINF_SAMPLED: (SAMPLING, lambda ps, ws, b: extreme_linf_lower_mc(ps, ws, 3000, 7, 2)),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 10, 10**6])
+@pytest.mark.parametrize("method", list(Method))
+def test_disc_matches_the_public_engine(tmp_path, method, budget):
+    # 10 is below the exact engines' work on this rule, 10**6 above it; the
+    # sampled methods ignore --budget
+    rng = np.random.default_rng(5)
+    ps = PointSet(rng.random((12, 2)))
+    ws = WeightSet(np.r_[np.full(11, 0.1), -0.05], WeightKind.GENERAL)
+    f = tmp_path / "signed12x2.csv"
+    save_points(f, ps, ws)
+    flags, direct = DIRECT_CALLS[method]
+    argv = ["disc", "--input", f, "--method", method.value, *flags]
+    if budget is not None:
+        argv += ["--budget", budget]
+    code, out, err = run_cli(*argv)
+    try:
+        res = direct(ps, ws, () if budget is None else (budget,))
+    except BudgetExceededError as exc:
+        assert (code, out, err) == (3, "", f"error: {exc}\n")
+        return
+    assert (code, err) == (0, "")
+    assert out == json.dumps(res.to_json_dict("disc", ps.d, ps.n)) + "\n"
+
+
 class TestConstants:
     def test_table_layout(self):
         code, out, _ = run_cli("constants", "--p-min", "1.5", "--p-max", "4", "--count", "6")
@@ -447,10 +497,12 @@ class TestDualityCheck:
         assert run_cli("duality-check", *sampled, "--p", "inf")[0] == 2
 
     def test_huge_even_p_exit_code(self, one_center):
+        # p + 1 binomial terms pass the cell budget, so the norm is sampled, and
+        # |delta|^p underflows there: every p past binary64 ends in exit 2
         code, _, err = run_cli(
             "duality-check", "--input", one_center, "--p", "1e30", "--samples", "100", "--seed", "1"
         )
-        assert code == 3 and "budget" in err
+        assert code == 2 and "sampled |delta|^p underflows at p = 1e+30, d = 1" in err
 
     def test_even_p_norm_engine_follows_cell_count(self, tmp_path):
         # p = 4 on vdc256x4 has 1.2e18 cells: the norm is sampled, not exit 3

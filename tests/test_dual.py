@@ -372,6 +372,29 @@ class TestDualityAudit:
         assert chk.qnorm_stderr == chk.pairing_stderr / chk.norm
         assert chk.qnorm_z == chk.pairing_z
 
+    def test_norm_stderr(self):
+        # the sampled norm's stderr enters the z-score; an exact norm has none,
+        # and then the z-score is the pairing's alone, to the bit
+        ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, 16, 2))
+        chk = duality_gap_mc(ps, ws, 3.0, 4096, seed=2)
+        norm = extreme_lp_mc(ps, ws, 3.0, 4096, seed=2 + _NORM_STREAM_OFFSET)
+        assert (chk.norm_method, chk.norm_stderr) == ("mc", norm.stderr)
+        se = math.hypot(chk.pairing_stderr, 3.0 * chk.norm_stderr)
+        assert chk.pairing_z == (chk.pairing - chk.norm) / se
+        chk = duality_gap_mc(ps, ws, 4.0, 4096, seed=2)
+        assert (chk.norm_method, chk.norm_stderr) == ("even-exact", 0.0)
+        assert chk.pairing_z == (chk.pairing - chk.norm) / chk.pairing_stderr
+
+    @pytest.mark.parametrize("p, method", [(1.5, "mc"), (3.0, "mc"), (4.0, "even-exact")])
+    def test_z_is_calibrated(self, p, method):
+        # a sampled norm is a second estimate of the pairing's integral, so z
+        # counts both errors; counting the pairing's alone read z std 1.31-1.51
+        ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, 16, 2))
+        checks = [duality_gap_mc(ps, ws, p, 4096, seed) for seed in range(1, 201)]
+        assert {chk.norm_method for chk in checks} == {method}
+        z = np.array([chk.pairing_z for chk in checks])
+        assert 0.85 <= z.std(ddof=1) <= 1.15
+
     def test_z_scores_agree_near_p_one(self):
         # q = 1e11 here: a separate |c*|^q statistic would amplify rounding
         # by q, and its z would drift from the pairing's

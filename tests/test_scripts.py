@@ -17,11 +17,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
             ["--d", "2", "--n-max", "16", "--random-reps", "2"],
             "n,vdc_hammersley,lattice,grid,random_mean,lower_bound",
         ),
-        (
-            "constants_table.py",
-            ["--count", "3"],
-            "p,a_p,b_p,y_star,c_p,b_method,min_points_d5,min_points_d10,min_points_d20",
-        ),
         ("mc_calibration.py", ["--reps", "3"], "samples,z_mean,z_std,max_abs_z,frac_within_3"),
         (
             "dual_checks.py",
