@@ -154,7 +154,9 @@ class DualityCheck:
     z-scores are equal.  A sampled norm is a second estimate of that
     integral, m2 = norm^p with stderr p norm^(p-1) norm_stderr (delta
     method; norm_stderr is 0.0 when exact), and pairing - norm is
-    (m1 - m2) / norm^(p-1): z divides by hypot(pairing_stderr, p norm_stderr).
+    (m1 - m2) / norm^(p-1): z divides by hypot(pairing_stderr, p norm_stderr),
+    and qnorm_stderr is that over norm, so that qnorm_z = (qnorm_pow - 1) /
+    qnorm_stderr.  With an exact norm both are the pairing's alone.
     """
 
     p: float
@@ -173,12 +175,15 @@ class DualityCheck:
 
     @property
     def qnorm_stderr(self) -> float:
-        return self.pairing_stderr / self.norm
+        return self._gap_stderr / self.norm
 
     @property
     def pairing_z(self) -> float:
-        se = math.hypot(self.pairing_stderr, self.p * self.norm_stderr)
-        return _zscore(self.pairing, self.norm, se)
+        return _zscore(self.pairing, self.norm, self._gap_stderr)
+
+    @property
+    def _gap_stderr(self) -> float:
+        return math.hypot(self.pairing_stderr, self.p * self.norm_stderr)
 
     @property
     def qnorm_z(self) -> float:

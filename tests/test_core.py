@@ -37,6 +37,7 @@ from extdisc.core import (
     _TABLE_BYTES,
     _WORD,
     _block_tables,
+    _column_sum,
     _parse_header,
     _prepare,
     _rank_table,
@@ -336,6 +337,27 @@ def test_batch_kernel_matches_parent_reference(n, d, grid, duplicates, qmc, m, s
     assert sum(map(table_bytes, tables)) <= _table_bytes_bound(n, d)
     assert np.array_equal(local_discrepancy_batch(coords, weights, lo, hi), want)
     assert np.array_equal(local_discrepancy_batch(coords, weights, lo, hi, tables=tables), want)
+
+
+@given(
+    k=st.integers(1, 5),
+    zeros=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_column_sum_is_numpy_row_sum(k, zeros, seed):
+    # the kernel's column sum of (bytes, boxes) lookups is sum(axis=1) of
+    # (boxes, bytes), bit for bit, at every width 8 .. 512 bytes of a block's
+    # bitsets: numpy adds a row in eight accumulators up to 128 floats and
+    # splits longer rows.  Magnitudes 1e-8, 1 and 1e8 mix, so the order of
+    # the adds shows in the low bits; rows of -0.0 sum to numpy's 0.0
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-1.0, 1.0, (k, 512)) * rng.choice([1e-8, 1.0, 1e8], (k, 512))
+    rows[rng.random((k, 512)) < zeros] = -0.0
+    for width in range(8, 513, 8):
+        want = rows[:, :width].sum(axis=1)
+        got = _column_sum(np.ascontiguousarray(rows[:, :width].T))
+        assert got.tobytes() == want.tobytes(), width
 
 
 def table_bytes(block):

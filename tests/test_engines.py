@@ -768,8 +768,19 @@ def test_l2_matches_rational_closed_form(seed):
 # The audit entries come from the L_p sampler's integral of |delta|^p divided
 # by norm^(p-1) (and by norm once more for qnorm_pow).  Earlier versions
 # summed c* delta and |c*|^q per box, rounding each term apart; their audit
-# entries differ from these by at most 1 ulp.
+# entries differ from these by at most 1 ulp.  The rules' bitsets take 8, 32,
+# 64, 128 and 512 bytes, so both of the kernel's byte sums are pinned: the
+# column sum up to 64 bytes, `sum(axis=1)` above.  The vdc rules' weights are
+# dyadic, so their sums are exact in any order; signedNxD, `signed_rule(N, D,
+# seed=7)`, is not.
 PINNED = {
+    "vdc64x2": (
+        "0x1.f33dbffa0efe5p-8",
+        "0x1.7bb1784d7cab7p-16",
+        "0x1.6be36f9105238p-5",
+        "0x1.f5bd20096fb44p-8",
+        "0x1.01ec66abd701cp+0",
+    ),
     "vdc256x4": (
         "0x1.dc37a59c1286bp-10",
         "0x1.396fcac548896p-17",
@@ -784,6 +795,20 @@ PINNED = {
         "0x1.62001e200aa9dp-13",
         "0x1.d28001bb61de6p-1",
     ),
+    "signed1024x3": (
+        "0x1.fa610f4a6bdbap-9",
+        "0x1.64abe15e47384p-16",
+        "0x1.6505e3711aab8p-5",
+        "0x1.f4b3c0b015088p-9",
+        "0x1.f76a07e98fa07p-1",
+    ),
+    "signed4096x2": (
+        "0x1.f8e4854ce84e7p-9",
+        "0x1.f0e86b85a180cp-17",
+        "0x1.a23cf9727b030p-6",
+        "0x1.016fa06b1023fp-8",
+        "0x1.07a0975f24cefp+0",
+    ),
 }
 
 
@@ -792,10 +817,11 @@ PINNED = {
 def test_sampled_outputs_are_pinned(rule, workers):
     # README "Determinism": sampled outputs are a pure function of
     # (rule, p, samples, seed), for any worker count
-    if rule == "vdc256x4":
-        ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, 256, 4))
+    kind, n, d = re.fullmatch(r"(vdc|signed)(\d+)x(\d+)", rule).groups()
+    if kind == "vdc":
+        ps, ws = generate(GeneratorSpec(GeneratorKind.VDC_HAMMERSLEY, int(n), int(d)))
     else:
-        ps, ws = signed_rule(512, 8, seed=7)
+        ps, ws = signed_rule(int(n), int(d), seed=7)
     samples = (1 << 16) + 1000
     lp = extreme_lp_mc(ps, ws, 3.0, samples, seed=5, workers=workers)
     linf = extreme_linf_lower_mc(ps, ws, samples, seed=5, workers=workers)
