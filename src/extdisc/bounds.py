@@ -137,12 +137,12 @@ def min_points_lower_bound(p: float, d: int, eps: float) -> float:
     """Fewest points any nonneg-weight rule needs for relative error eps.
 
     Value C_p^d (1 - 2 eps), clipped at 0; exponential in d whenever
-    eps < 1/2 since C_p > 1.
+    eps < 1/2 since C_p > 1, and inf past the float maximum.
     """
     _check_all(d, lambda d: d >= 1, "dimension must be at least 1")
     if not (0.0 <= eps):
         raise InvalidInputError("eps must be >= 0")
-    return curse_base(p) ** d * max(1.0 - 2.0 * eps, 0.0)
+    return _scaled_power(max(1.0 - 2.0 * eps, 0.0), curse_base(p), d)
 
 
 def error_lower_bound(p: float, d: int, n: int) -> float:
@@ -215,8 +215,18 @@ def gnewuch_linf_upper(eps: float, d: int) -> int:
 
 
 def nw10_l2_lower(eps: float, d: int) -> float:
-    """Points needed at p = 2 for GENERAL weights: (1 - eps^2) (9/4)^d."""
+    """Points needed at p = 2 for GENERAL weights: (1 - eps^2) (9/4)^d, inf
+    past the float maximum."""
     _check_all(d, lambda d: d >= 1, "dimension must be at least 1")
     if not (0.0 <= eps <= 1.0):
         raise InvalidInputError("eps must lie in [0, 1]")
-    return (1.0 - eps**2) * 2.25**d
+    return _scaled_power(1.0 - eps**2, 2.25, d)
+
+
+def _scaled_power(factor: float, base: float, d: int) -> float:
+    """factor * base^d: 0.0 where factor is 0, inf where base^d passes the
+    float maximum."""
+    try:
+        return factor and factor * base**d
+    except OverflowError:
+        return math.inf

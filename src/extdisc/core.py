@@ -546,25 +546,17 @@ def _block_counts(block, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 def _column_sum(values: np.ndarray) -> np.ndarray:
     """The column sums of values, of shape (b, k) with b a positive multiple
-    of 8, bit for bit as `sum(axis=1)` sums the same floats laid out (k, b)
-    in C order; summed in place into the returned row 0.
+    of 8 up to 128, bit for bit as `sum(axis=1)` sums the same floats laid
+    out (k, b) in C order; summed in place into the returned row 0.
 
-    numpy sums a row of b floats pairwise: up to 128 of them in eight
-    accumulators, r_i adding the floats i, i + 8, ... in turn, combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)); a longer row splits at
-    b/2 rounded down to a multiple of 8 and adds its halves' sums.  A
-    reduction adds the total to its start 0.0, which turns -0.0 into 0.0;
-    adding it to both halves' sums of a split row as well changes no bit.
-    Here each step is one call over whole rows of k floats.
+    numpy sums a row of up to 128 floats pairwise in eight accumulators, r_i
+    adding the floats i, i + 8, ... in turn, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) (a longer row would
+    split first).  A reduction adds the total to its start 0.0, which turns
+    -0.0 into 0.0.  Here each step is one call over whole rows of k floats.
     """
-    b = len(values)
-    if b > 128:
-        half = b // 2 - b // 2 % 8
-        total = _column_sum(values[:half])
-        total += _column_sum(values[half:])
-        return total
     acc = values[:8]
-    for i in range(8, b, 8):
+    for i in range(8, len(values), 8):
         acc += values[i : i + 8]
     acc[::2] += acc[1::2]
     acc[::4] += acc[2::4]

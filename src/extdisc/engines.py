@@ -14,12 +14,10 @@ engine choice.  Every sampler, `dual.duality_gap_mc` included, runs on one
 chunked core, `_sample`; the L_p sampler and the audit share one
 statistic, the sampled integral of |delta|^p (`_lp_moment`).  A finite
 rule misses boxes of positive volume, so a total that is not positive is
-an error, never 0; so is a sum past the
-float maximum (for the L2 and sup-norm engines, one that sum |w| does not
-rule out), and an even-p value above S 2^(-d/p), a bound that every
-rule with S = max(sum w+, 1 + sum |w-|) meets.  The even-p cell sum
-cancels as p grows; in the same pass it sums the sizes of its parts, and
-it raises when eps times that sum over the total, its relative error
+an error, never 0; so is a sum past the float maximum (for the L2 and
+sup-norm engines, one that sum |w| does not rule out).  The even-p cell
+sum cancels as p grows; in the same pass it sums the sizes of its parts,
+and it raises when eps times that sum over the total, its relative error
 bound (`DiscrepancyResult.error_bound`), passes `_CANCEL_TOL` = 1e-6.
 
 The grid engines never build a point-by-box membership matrix: every
@@ -306,16 +304,7 @@ def extreme_lp_exact_even_p(
     total, size = _even_p_sum(cd, ws, p)
     if not total > 0.0:
         raise InternalConsistencyError(f"p-th power total {total} is not positive")
-    # every box has |delta| <= S = max(sum w+, sum |w-| + 1) on an anchor domain
-    # of measure 2^-d, so no rule exceeds S 2^(-d/p); a cell sum whose terms
-    # cancelled can (ROADMAP item 2)
-    w = ws.values
-    bound = float(max(w[w > 0].sum(), 1.0 - w[w < 0].sum())) * 2.0 ** (-len(cd.gammas) / p)
     value = total ** (1.0 / p)
-    if value > bound * (1.0 + 1e-12):
-        raise InternalConsistencyError(
-            f"even-p value {value!r} exceeds the bound {bound!r} of every rule at p = {p}"
-        )
     error_bound = sys.float_info.epsilon * size / total
     if not error_bound <= _CANCEL_TOL:  # also when the sizes overflowed to inf or NaN
         raise InternalConsistencyError(

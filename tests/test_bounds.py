@@ -135,6 +135,14 @@ class TestPointAndErrorBounds:
         assert min_points_lower_bound(2.0, 3, 0.5) == 0.0
         assert min_points_lower_bound(2.0, 3, 0.9) == 0.0
 
+    def test_past_the_float_maximum(self):
+        # C_2^6000 and (9/4)^1000 overflow: both raised OverflowError, and the
+        # factor 0 must still give 0
+        assert min_points_lower_bound(2.0, 6000, 0.1) == math.inf
+        assert min_points_lower_bound(2.0, 6000, 0.5) == 0.0
+        assert nw10_l2_lower(0.1, 1000) == math.inf
+        assert nw10_l2_lower(1.0, 1000) == 0.0
+
     def test_min_points_grows_exponentially(self):
         vals = [min_points_lower_bound(2.0, d, 0.1) for d in (5, 10, 15)]
         assert vals[1] / vals[0] == pytest.approx(vals[2] / vals[1], rel=1e-9)

@@ -271,30 +271,21 @@ def test_exact_weight_overflow_exit_code(tmp_path, rows, method):
     assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
 
 
-@pytest.mark.parametrize("p", [64, 512, 1028])
-@pytest.mark.parametrize("command", [("disc", "--method", "even-exact"), ("duality-check",)])
-def test_even_p_value_over_bound_exit_code(tmp_path, command, p):
-    # the cancelled cell sum once printed up to 1.90151 here, over the bound 2^(-1/p)
-    f = tmp_path / "rule.csv"
-    f.write_text("0.5\n0.25\n")
-    sampled = ("--samples", "1000", "--seed", "1")
-    code, out, err = run_cli(*command, "--p", p, "--input", f, *sampled)
-    assert (code, out) == (4, "")
-    assert err.startswith("error: even-p value ") and err.count("\n") == 1
-    assert "exceeds the bound" in err and f"at p = {p}" in err
-
-
 @pytest.mark.parametrize("command", [("disc", "--method", "even-exact"), ("duality-check",)])
 def test_cancelled_even_p_sum_exit_code(tmp_path, command):
-    # the cell sum's error bound is 5.5 here; both commands once took its
-    # root, 0.0368, for the norm
-    f = tmp_path / "vdc32x2.csv"
-    assert run_cli("generate", "--kind", "vdc", "--n", "32", "--d", "2", "--out", f)[0] == 0
+    # vdc32x2 at p = 12: the cell sum's error bound is 5.5; both commands once
+    # took its root, 0.0368, for the norm.  The points 0.5 and 0.25 at p = 64,
+    # 512 and 1028: the cancelled cell sum once printed up to 1.90151, over
+    # the bound 2^(-1/p) of every rule with these weights
+    vdc, two = tmp_path / "vdc32x2.csv", tmp_path / "two.csv"
+    assert run_cli("generate", "--kind", "vdc", "--n", "32", "--d", "2", "--out", vdc)[0] == 0
+    two.write_text("0.5\n0.25\n")
     sampled = ("--samples", "1000", "--seed", "1")
-    code, out, err = run_cli(*command, "--p", "12", "--input", f, *sampled)
-    assert (code, out) == (4, "")
-    assert err.startswith("error: even-p cell sum cancelled") and err.count("\n") == 1
-    assert "relative error bound" in err and "at p = 12" in err
+    for f, p in [(vdc, 12), (two, 64), (two, 512), (two, 1028)]:
+        code, out, err = run_cli(*command, "--p", p, "--input", f, *sampled)
+        assert (code, out) == (4, ""), (f.name, p)
+        assert err.startswith("error: even-p cell sum cancelled") and err.count("\n") == 1
+        assert "relative error bound" in err and f"at p = {p}" in err
 
 
 def test_cli_binds_no_engine():
@@ -378,6 +369,16 @@ class TestBounds:
             assert float(row[3]) == pytest.approx(0.0)  # eps = 1/2 kills the bound
             assert float(row[4]) == pytest.approx(0.75 * 2.25**i)
             assert row[5] == ""
+
+    def test_nw10_past_the_float_maximum(self):
+        # (9/4)^876 overflows: the table once stopped after 875 rows with a
+        # traceback and exit 1
+        code, out, _ = run_cli("bounds", "--p", "2", "--d-max", "1000", "--eps", "0.1")
+        assert code == 0
+        rows = self.header(out)
+        assert len(rows) == 1000
+        assert [row[4] == "inf" for row in rows] == [d >= 876 for d in range(1, 1001)]
+        assert all(math.isfinite(float(row[3])) for row in rows)
 
     def test_pinf_fills_gnewuch(self):
         code, out, _ = run_cli("bounds", "--p", "inf", "--d-max", "3", "--eps", "0.5")

@@ -347,14 +347,14 @@ def test_batch_kernel_matches_parent_reference(n, d, grid, duplicates, qmc, m, s
 @settings(max_examples=60, deadline=None)
 def test_column_sum_is_numpy_row_sum(k, zeros, seed):
     # the kernel's column sum of (bytes, boxes) lookups is sum(axis=1) of
-    # (boxes, bytes), bit for bit, at every width 8 .. 512 bytes of a block's
-    # bitsets: numpy adds a row in eight accumulators up to 128 floats and
-    # splits longer rows.  Magnitudes 1e-8, 1 and 1e8 mix, so the order of
-    # the adds shows in the low bits; rows of -0.0 sum to numpy's 0.0
+    # (boxes, bytes), bit for bit, at every width 8 .. 128 bytes it takes:
+    # numpy adds a row of up to 128 floats in eight accumulators.  Magnitudes
+    # 1e-8, 1 and 1e8 mix, so the order of the adds shows in the low bits;
+    # rows of -0.0 sum to numpy's 0.0
     rng = np.random.default_rng(seed)
-    rows = rng.uniform(-1.0, 1.0, (k, 512)) * rng.choice([1e-8, 1.0, 1e8], (k, 512))
-    rows[rng.random((k, 512)) < zeros] = -0.0
-    for width in range(8, 513, 8):
+    rows = rng.uniform(-1.0, 1.0, (k, 128)) * rng.choice([1e-8, 1.0, 1e8], (k, 128))
+    rows[rng.random((k, 128)) < zeros] = -0.0
+    for width in range(8, 129, 8):
         want = rows[:, :width].sum(axis=1)
         got = _column_sum(np.ascontiguousarray(rows[:, :width].T))
         assert got.tobytes() == want.tobytes(), width
