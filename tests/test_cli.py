@@ -271,21 +271,32 @@ def test_exact_weight_overflow_exit_code(tmp_path, rows, method):
     assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
 
 
+@pytest.mark.parametrize("p", [64, 512, 1028])
+@pytest.mark.parametrize("command", [("disc", "--method", "even-exact"), ("duality-check",)])
+def test_even_p_value_over_bound_exit_code(tmp_path, command, p):
+    # the cancelled cell sum once printed up to 1.90151 here, over the bound
+    # 2^(-1/p) of every rule with these weights; the cancellation bound now
+    # rejects it
+    f = tmp_path / "rule.csv"
+    f.write_text("0.5\n0.25\n")
+    sampled = ("--samples", "1000", "--seed", "1")
+    code, out, err = run_cli(*command, "--p", p, "--input", f, *sampled)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: even-p cell sum cancelled") and err.count("\n") == 1
+    assert "relative error bound" in err and f"at p = {p}" in err
+
+
 @pytest.mark.parametrize("command", [("disc", "--method", "even-exact"), ("duality-check",)])
 def test_cancelled_even_p_sum_exit_code(tmp_path, command):
-    # vdc32x2 at p = 12: the cell sum's error bound is 5.5; both commands once
-    # took its root, 0.0368, for the norm.  The points 0.5 and 0.25 at p = 64,
-    # 512 and 1028: the cancelled cell sum once printed up to 1.90151, over
-    # the bound 2^(-1/p) of every rule with these weights
-    vdc, two = tmp_path / "vdc32x2.csv", tmp_path / "two.csv"
-    assert run_cli("generate", "--kind", "vdc", "--n", "32", "--d", "2", "--out", vdc)[0] == 0
-    two.write_text("0.5\n0.25\n")
+    # the cell sum's error bound is 5.5 here; both commands once took its
+    # root, 0.0368, for the norm
+    f = tmp_path / "vdc32x2.csv"
+    assert run_cli("generate", "--kind", "vdc", "--n", "32", "--d", "2", "--out", f)[0] == 0
     sampled = ("--samples", "1000", "--seed", "1")
-    for f, p in [(vdc, 12), (two, 64), (two, 512), (two, 1028)]:
-        code, out, err = run_cli(*command, "--p", p, "--input", f, *sampled)
-        assert (code, out) == (4, ""), (f.name, p)
-        assert err.startswith("error: even-p cell sum cancelled") and err.count("\n") == 1
-        assert "relative error bound" in err and f"at p = {p}" in err
+    code, out, err = run_cli(*command, "--p", "12", "--input", f, *sampled)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: even-p cell sum cancelled") and err.count("\n") == 1
+    assert "relative error bound" in err and "at p = 12" in err
 
 
 def test_cli_binds_no_engine():
